@@ -45,7 +45,6 @@ from .specfn import (
     clenshaw,
     jacobi_coeffs,
     jacobi_eval,
-    log_gamma,
 )
 from .verify import (
     VerificationReport,
@@ -86,7 +85,6 @@ __all__ = [
     "kernel_qc",
     "lambda_eigenvalue",
     "lambda_from_hankel_fit",
-    "log_gamma",
     "mu_eigenvalue",
     "mu_rayleigh",
     "orthonormality_gram",

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,6 +34,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
+
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _fmt(x: float) -> str:
@@ -244,10 +247,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--name -1e-3' as '--name=-1e-3'.
+
+    argparse reads a token that starts with '-' as an option name unless it
+    matches its negative-number pattern, which has no exponent, so values
+    such as -1e-3 would be rejected with "expected one argument".
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

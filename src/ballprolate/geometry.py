@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, UnsupportedDimension
-from .linalg import gauss_jacobi
 from .pswf import RadialPswf
 from .specfn import JacobiBasis, bessel_j_scaled, clenshaw, jacobi_eval
 
@@ -223,12 +222,16 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
         K(rho) = (2 pi)^(d/2) int_0^1 s^(d-1) (1-s^2)^alpha
                  [J_nu(c s rho) / (c s rho)^nu] ds,        nu = (d-2)/2,
 
-    evaluated through the scaled Bessel function so that rho = 0 is regular,
-    with a Gauss-Jacobi rule of ceil(c)+24 nodes in the variable s^2.
-    Requires d >= 2 so that the Bessel order exceeds -1/2.
+    evaluated in closed form by Sonine's first finite integral (Watson,
+    Treatise on Bessel Functions, 12.11; DLMF 10.22) as
+
+        K(rho) = (2 pi)^(d/2) 2^alpha Gamma(alpha+1) J_mu(c rho) / (c rho)^mu,
+
+    mu = d/2 + alpha > -1/2, through the scaled Bessel function so that
+    rho = 0 is regular.  Valid for every d >= 1.
     """
-    if d < 2:
-        raise UnsupportedDimension("the kernel needs d >= 2 (Bessel order above -1/2)")
+    if not d >= 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     if not c > 0.0:
         raise ValueError(f"bandwidth c must be positive, got {c}")
     if not alpha > -1.0:
@@ -236,10 +239,6 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0):
         raise ValueError("separation rho must be non-negative")
-    rule = gauss_jacobi(alpha, d / 2.0 - 1.0, math.ceil(c) + 24)
-    s = np.sqrt(0.5 * (1.0 + rule.nodes))
-    scaled = bessel_j_scaled((d - 2) / 2.0, c * np.multiply.outer(rho_arr, s))
-    value = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** (-alpha - d / 2.0 - 1.0) * (
-        scaled @ rule.weights
-    )
+    pref = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** alpha * math.gamma(alpha + 1.0)
+    value = pref * bessel_j_scaled(d / 2.0 + alpha, c * rho_arr)
     return float(value) if np.isscalar(rho) or rho_arr.ndim == 0 else value

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigenConvergenceError
-from .specfn import JacobiBasis, jacobi_coeffs
+from .specfn import JacobiBasis, _recurrence_arrays
 
 __all__ = ["TridiagonalSym", "QuadratureRule", "eig_symtridiag", "gauss_jacobi"]
 
@@ -88,11 +88,9 @@ def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
         raise EigenConvergenceError(
             f"tridiagonal eigensolve of size {tri.size} failed: {exc}"
         ) from exc
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        lead = col[np.abs(col) > _SIGN_FLOOR]
-        if lead.size and lead[0] < 0.0:
-            vectors[:, i] = -col
+    big = (vectors > _SIGN_FLOOR) | (vectors < -_SIGN_FLOOR)
+    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(big.any(axis=0) & (lead < 0.0), -1.0, 1.0)
     return values, vectors
 
 
@@ -105,15 +103,8 @@ def gauss_jacobi(alpha: float, beta: float, m: int) -> QuadratureRule:
     """
     if m < 1:
         raise ValueError(f"node count must be at least 1, got {m}")
-    basis = JacobiBasis(alpha, beta)
-    diag = np.empty(m)
-    off = np.empty(m - 1)
-    for j in range(m):
-        a_j, b_j, _ = jacobi_coeffs(basis, j)
-        diag[j] = b_j
-        if j < m - 1:
-            off[j] = a_j
-    nodes, vectors = eig_symtridiag(TridiagonalSym(diag, off))
+    a, b = _recurrence_arrays(JacobiBasis(alpha, beta), m - 1)
+    nodes, vectors = eig_symtridiag(TridiagonalSym(b, a[:-1]))
     mu0 = math.exp(
         (alpha + beta + 1.0) * math.log(2.0)
         + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateEndpoint, NonPositiveLambda, TruncationNotConverged
 from .linalg import TridiagonalSym, eig_symtridiag
-from .specfn import JacobiBasis, clenshaw, jacobi_coeffs
+from .specfn import JacobiBasis, _recurrence_arrays, clenshaw
 
 __all__ = [
     "PswfParams",
@@ -113,10 +113,11 @@ class RadialPswf:
         return self.params.basis
 
 
-def gamma_coef(m: int, alpha: float, d: int) -> float:
+def gamma_coef(m, alpha: float, d: int):
     """Sturm-Liouville eigenvalue m (m + 2 alpha + d) of the degree-m ball
-    polynomial, the c = 0 limit of chi."""
-    if m < 0:
+    polynomial, the c = 0 limit of chi.  m may be an integer or an integer
+    ndarray of degrees."""
+    if np.any(np.asarray(m) < 0):
         raise ValueError(f"degree m must be non-negative, got {m}")
     return m * (m + 2.0 * alpha + d)
 
@@ -140,16 +141,10 @@ def build_matrix(d: int, alpha: float, c: float, n: int, K: int) -> TridiagonalS
     _validate_family(d, alpha, c, n)
     if K < 0:
         raise ValueError(f"truncation K must be non-negative, got {K}")
-    basis = JacobiBasis(alpha, n + d / 2.0 - 1.0)
+    a, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), K)
     half_c2 = 0.5 * c * c
-    diag = np.empty(K + 1)
-    off = np.empty(K)
-    for j in range(K + 1):
-        a_j, b_j, _ = jacobi_coeffs(basis, j)
-        diag[j] = gamma_coef(n + 2 * j, alpha, d) + (b_j + 1.0) * half_c2
-        if j < K:
-            off[j] = a_j * half_c2
-    return TridiagonalSym(diag, off)
+    diag = gamma_coef(n + 2 * np.arange(K + 1), alpha, d) + (b + 1.0) * half_c2
+    return TridiagonalSym(diag, a[:-1] * half_c2)
 
 
 def _apply_sign_rule(coeffs: np.ndarray, k: int) -> np.ndarray:
@@ -248,17 +243,12 @@ def perturbation_coeffs(d: int, alpha: float, n: int, k: int) -> tuple[float, fl
     _validate_family(d, alpha, 0.0, n)
     if k < 0:
         raise ValueError(f"radial index k must be non-negative, got {k}")
-    basis = JacobiBasis(alpha, n + d / 2.0 - 1.0)
     s = alpha + (n + d / 2.0 - 1.0)
-    a_k, b_k, _ = jacobi_coeffs(basis, k)
-    d_k1 = 0.5 * (b_k + 1.0)
-    b_plus = -a_k / (8.0 * (2 * k + s + 2.0))
-    if k == 0:
-        b_minus = 0.0
-    else:
-        a_km1, _, _ = jacobi_coeffs(basis, k - 1)
-        b_minus = a_km1 / (8.0 * (2 * k + s))
-    return d_k1, b_minus, b_plus
+    a, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), k)
+    d_k1 = 0.5 * (b[k] + 1.0)
+    b_plus = -a[k] / (8.0 * (2 * k + s + 2.0))
+    b_minus = a[k - 1] / (8.0 * (2 * k + s)) if k else 0.0
+    return float(d_k1), float(b_minus), float(b_plus)
 
 
 def chi_bounds(params: PswfParams) -> tuple[float, float]:

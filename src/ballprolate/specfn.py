@@ -1,5 +1,5 @@
-"""Scalar special functions: orthonormalized Jacobi polynomials, scaled Bessel
-functions of the first kind, and the log-gamma function.
+"""Scalar special functions: orthonormalized Jacobi polynomials and scaled
+Bessel functions of the first kind.
 
 The Jacobi polynomials P~_j used throughout the package carry the normalization
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "jacobi_eval",
     "clenshaw",
     "bessel_j_scaled",
-    "log_gamma",
 ]
 
 
@@ -49,40 +47,46 @@ class JacobiBasis:
 def jacobi_coeffs(basis: JacobiBasis, j: int) -> tuple[float, float, float]:
     """Recurrence coefficients (a_j, b_j, h_j) of the orthonormalized family.
 
-    b_0 is evaluated as (beta-alpha)/(alpha+beta+2), the limit of the generic
-    expression, which is 0/0 when alpha+beta = 0.
+    a_j and b_j are entry j of _recurrence_arrays; h_j is the norm constant
+    of P~_j, so that P~_0 = 1/h_0.
     """
     if j < 0:
         raise ValueError(f"index j must be non-negative, got {j}")
+    a, b = _recurrence_arrays(basis, j)
+    return float(a[j]), float(b[j]), _norm_const(basis, j)
+
+
+def _norm_const(basis: JacobiBasis, j: int) -> float:
     al, be = basis.alpha, basis.beta
     s = al + be
     if j == 0:
-        # Reduced j = 0 forms: the generic expressions are 0/0 at s = -1
-        # (e.g. the Chebyshev pair alpha = beta = -1/2) and at s = 0 for b_0.
-        b = (be - al) / (s + 2.0)
-        a = math.sqrt(4.0 * (al + 1) * (be + 1) / ((s + 2.0) ** 2 * (s + 3.0)))
-        h = math.exp(
+        # Reduced form: the generic expression is 0/0 at s = -1.
+        return math.exp(
             0.5 * (math.lgamma(al + 1) + math.lgamma(be + 1) - math.lgamma(s + 2.0))
         ) / math.sqrt(2.0)
-        return a, b, h
-    b = (be * be - al * al) / ((2 * j + s) * (2 * j + s + 2.0))
-    a = math.sqrt(
-        4.0 * (j + 1) * (j + al + 1) * (j + be + 1) * (j + s + 1)
-        / ((2 * j + s + 1) * (2 * j + s + 2) ** 2 * (2 * j + s + 3))
-    )
-    h = math.exp(
+    return math.exp(
         0.5 * (math.lgamma(j + al + 1) + math.lgamma(j + be + 1)
                - math.lgamma(j + 1) - math.lgamma(j + s + 1))
     ) / math.sqrt(2.0 * (2 * j + s + 1))
-    return a, b, h
 
 
 def _recurrence_arrays(basis: JacobiBasis, jmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays a_0..a_jmax and b_0..b_jmax."""
-    a = np.empty(jmax + 1)
-    b = np.empty(jmax + 1)
-    for j in range(jmax + 1):
-        a[j], b[j], _ = jacobi_coeffs(basis, j)
+    """Arrays a_0..a_jmax and b_0..b_jmax, the package's one source of them.
+
+    Index 0 holds the reduced forms: the generic a_0 is 0/0 at alpha+beta = -1
+    (e.g. alpha = beta = -1/2) and the generic b_0 at alpha+beta = 0.
+    """
+    al, be = basis.alpha, basis.beta
+    s = al + be
+    j = np.arange(jmax + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (be * be - al * al) / ((2 * j + s) * (2 * j + s + 2.0))
+        a = np.sqrt(
+            4.0 * (j + 1) * (j + al + 1) * (j + be + 1) * (j + s + 1)
+            / ((2 * j + s + 1) * (2 * j + s + 2) ** 2 * (2 * j + s + 3))
+        )
+    b[0] = (be - al) / (s + 2.0)
+    a[0] = math.sqrt(4.0 * (al + 1) * (be + 1) / ((s + 2.0) ** 2 * (s + 3.0)))
     return a, b
 
 
@@ -95,9 +99,8 @@ def jacobi_eval(basis: JacobiBasis, jmax: int, eta) -> np.ndarray:
     if jmax < 0:
         raise ValueError(f"jmax must be non-negative, got {jmax}")
     eta = np.asarray(eta, dtype=float)
-    _, _, h0 = jacobi_coeffs(basis, 0)
     out = np.empty((jmax + 1,) + eta.shape)
-    out[0] = 1.0 / h0
+    out[0] = 1.0 / _norm_const(basis, 0)
     if jmax == 0:
         return out
     a, b = _recurrence_arrays(basis, jmax)
@@ -120,7 +123,7 @@ def clenshaw(basis: JacobiBasis, coeffs, eta):
         raise ValueError("coeffs must be finite")
     eta_arr = np.asarray(eta, dtype=float)
     m = coeffs.size - 1
-    _, _, h0 = jacobi_coeffs(basis, 0)
+    h0 = _norm_const(basis, 0)
     if m == 0:
         value = coeffs[0] / h0 * np.ones_like(eta_arr)
         return float(value) if np.isscalar(eta) or eta_arr.ndim == 0 else value
@@ -142,19 +145,6 @@ _SERIES_CUTOFF = 2.0
 _SERIES_TERMS = 30
 
 
-@lru_cache(maxsize=None)
-def _poisson_rule(nu: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Jacobi rule with weight (1-t^2)^(nu-1/2) on (-1, 1)."""
-    from .linalg import gauss_jacobi
-
-    rule = gauss_jacobi(nu - 0.5, nu - 0.5, m)
-    nodes = rule.nodes.copy()
-    weights = rule.weights.copy()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
     """Power series of J_nu(z)/z^nu, accurate to machine precision for z <= 2."""
     q = -0.25 * z * z
@@ -166,30 +156,13 @@ def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _bessel_poisson(nu: float, z: np.ndarray) -> np.ndarray:
-    """Poisson-integral evaluation of J_nu(z)/z^nu for moderate and large z.
-
-    J_nu(z)/z^nu = C int_{-1}^{1} cos(z t) (1-t^2)^(nu-1/2) dt with
-    C = 1/(2^nu sqrt(pi) Gamma(nu+1/2)); the node count grows like z/2.
-    """
-    pref = math.exp(-nu * math.log(2.0) - 0.5 * math.log(math.pi)
-                    - math.lgamma(nu + 0.5))
-    out = np.empty_like(z)
-    counts = (np.ceil(z / 2.0) + 24).astype(int)
-    for m in np.unique(counts):
-        sel = counts == m
-        nodes, weights = _poisson_rule(nu, int(m))
-        out[sel] = pref * (np.cos(np.multiply.outer(z[sel], nodes)) @ weights)
-    return out
-
-
 def bessel_j_scaled(nu: float, z):
     """J_nu(z)/z^nu, an even entire function of z, for order nu > -1/2.
 
     At z = 0 the value is 1/(2^nu Gamma(nu+1)).  The power series is used for
-    z <= 2 and Gauss-Jacobi quadrature of the Poisson integral with
-    ceil(z/2)+24 nodes beyond that; both branches agree to ~1e-14 at the
-    crossover.  z may be a scalar or an ndarray of non-negative values.
+    z <= 2, where dividing scipy's J_nu by z^nu would lose accuracy near 0,
+    and scipy.special.jv(nu, z)/z^nu beyond that.  z may be a scalar or an
+    ndarray of non-negative values.
     """
     if not nu > -0.5:
         raise ValueError(f"order must exceed -1/2, got nu={nu}")
@@ -203,12 +176,11 @@ def bessel_j_scaled(nu: float, z):
     if small.any():
         out[small] = _bessel_series(float(nu), z_arr[small])
     if (~small).any():
-        out[~small] = _bessel_poisson(float(nu), z_arr[~small])
+        # Imported here, not at module level: solving and evaluating never
+        # reach z > 2, and scipy.special adds import time and memory to them.
+        import scipy.special
+
+        z_big = z_arr[~small]
+        out[~small] = scipy.special.jv(nu, z_big) / z_big ** nu
     return float(out[0]) if scalar else out
 
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

@@ -30,13 +30,14 @@ from .geometry import kernel_qc
 from .linalg import gauss_jacobi
 from .pswf import (
     RadialPswf,
+    build_matrix,
     chi_bounds,
     gamma_coef,
     lambda_eigenvalue,
     perturbation_coeffs,
     solve_pswfs,
 )
-from .specfn import bessel_j_scaled, clenshaw, jacobi_coeffs
+from .specfn import bessel_j_scaled, clenshaw
 
 __all__ = [
     "CaseResult",
@@ -197,20 +198,11 @@ def recurrence_residual(pswf: RadialPswf) -> float:
     """Max residual of the three-term coefficient recurrence, normalized by
     |chi| + c^2 (zero when the raw residual is exactly zero)."""
     p = pswf.params
-    K = pswf.truncation
-    beta = np.zeros(K + 3)
-    beta[1:K + 2] = pswf.coeffs
-    half_c2 = 0.5 * p.c * p.c
-    worst = 0.0
-    for j in range(K + 1):
-        a_j, b_j, _ = jacobi_coeffs(pswf.basis, j)
-        a_prev = jacobi_coeffs(pswf.basis, j - 1)[0] if j > 0 else 0.0
-        res = (
-            (gamma_coef(p.n + 2 * j, p.alpha, p.d) + (b_j + 1.0) * half_c2 - pswf.chi) * beta[j + 1]
-            + a_prev * half_c2 * beta[j]
-            + a_j * half_c2 * beta[j + 2]
-        )
-        worst = max(worst, abs(res))
+    tri = build_matrix(p.d, p.alpha, p.c, p.n, pswf.truncation)
+    beta = np.concatenate(([0.0], pswf.coeffs, [0.0]))
+    off = np.concatenate(([0.0], tri.offdiag, [0.0]))
+    res = (tri.diag - pswf.chi) * beta[1:-1] + off[:-1] * beta[:-2] + off[1:] * beta[2:]
+    worst = float(np.max(np.abs(res)))
     denom = abs(pswf.chi) + p.c * p.c
     if worst == 0.0:
         return 0.0

@@ -1,4 +1,4 @@
-"""Shared quadrature oracles used by several test modules."""
+"""Shared quadrature and reference oracles used by several test modules."""
 
 import math
 
@@ -7,7 +7,35 @@ import numpy as np
 
 from ballprolate.geometry import SphericalPoint, sph_harm_dim, sph_harm_eval
 from ballprolate.linalg import gauss_jacobi
-from ballprolate.specfn import JacobiBasis, jacobi_eval
+from ballprolate.specfn import JacobiBasis, bessel_j_scaled, jacobi_eval
+
+
+def jacobi_ab_reference(alpha, beta, j):
+    """Recurrence coefficients (a_j, b_j) by the scalar per-index formulas,
+    with the reduced j = 0 forms, as a reference for the vectorized arrays."""
+    al, be = alpha, beta
+    s = al + be
+    if j == 0:
+        b = (be - al) / (s + 2.0)
+        a = math.sqrt(4.0 * (al + 1) * (be + 1) / ((s + 2.0) ** 2 * (s + 3.0)))
+        return a, b
+    b = (be * be - al * al) / ((2 * j + s) * (2 * j + s + 2.0))
+    a = math.sqrt(
+        4.0 * (j + 1) * (j + al + 1) * (j + be + 1) * (j + s + 1)
+        / ((2 * j + s + 1) * (2 * j + s + 2) ** 2 * (2 * j + s + 3))
+    )
+    return a, b
+
+
+def kernel_qc_quadrature(d, alpha, c, rho):
+    """Concentration kernel
+    (2 pi)^(d/2) int_0^1 s^(d-1) (1-s^2)^alpha J_nu(c s rho)/(c s rho)^nu ds,
+    nu = (d-2)/2, by a Gauss-Jacobi rule of ceil(c)+24 nodes in the variable
+    s^2; needs d >= 2 so that the Bessel order exceeds -1/2."""
+    rule = gauss_jacobi(alpha, d / 2.0 - 1.0, math.ceil(c) + 24)
+    s = np.sqrt(0.5 * (1.0 + rule.nodes))
+    scaled = bessel_j_scaled((d - 2) / 2.0, c * np.multiply.outer(np.asarray(rho, dtype=float), s))
+    return (2.0 * math.pi) ** (d / 2.0) * 2.0 ** (-alpha - d / 2.0 - 1.0) * (scaled @ rule.weights)
 
 
 def closed_form_moment(k, alpha, beta):

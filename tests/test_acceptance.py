@@ -9,7 +9,7 @@ on well-characterized sub-cases:
   * criterion 4 sweeps radial indices where lambda drops to ~1e-13; the
     residual metric divides by lambda while the integral side cannot beat an
     absolute double-precision floor near 1e-16, so a 1e-8 relative bound is
-    unreachable whenever lambda < ~1e-7 (14 of 135 grid points, all c = 1,
+    unreachable whenever lambda < ~1e-7 (12 of 135 grid points, all c = 1,
     k >= 3).  Every point with lambda >= 1e-7 passes with margin.
   * criterion 7 asserts monotone decay of lambda in k on every family, which
     is genuinely false for the weight exponent -1/2 at large bandwidth: at

@@ -65,6 +65,12 @@ class TestSolve:
         assert code == 2
         assert "alpha" in err
 
+    def test_negative_value_in_exponent_notation(self, capsys):
+        code, out, _ = run(capsys, "solve", "--dim", "2", "--alpha", "-1e-3", "--c", "1",
+                           "--n", "0", "--k-max", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["alpha"] == -1e-3
+
     def test_usage_exit_code(self, capsys):
         assert main(["solve", "--dim", "2"]) == 2
         assert main(["unknown-command"]) == 2
@@ -173,6 +179,13 @@ class TestQuad:
         s = 1.0 / math.sqrt(3.0)
         np.testing.assert_allclose(nodes, [-s, s], rtol=1e-12)
         np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-12)
+
+    def test_negative_value_in_exponent_notation(self, capsys):
+        code, out, _ = run(capsys, "quad", "--alpha", "0", "--beta", "-8.1e-05", "--m", "3")
+        assert code == 0
+        _, equals_form, _ = run(capsys, "quad", "--alpha=0", "--beta=-8.1e-05", "--m=3")
+        assert out == equals_form
+        assert len(out.strip().split("\n")) == 4
 
     def test_output_file_and_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

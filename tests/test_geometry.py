@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from ballprolate.geometry import (
 from ballprolate.linalg import gauss_jacobi
 from ballprolate.pswf import solve_pswfs
 from ballprolate.specfn import JacobiBasis, jacobi_eval
-from helpers import ball_gram, sphere_gram
+from helpers import ball_gram, kernel_qc_quadrature, sphere_gram
 
 
 class TestSphHarmDim:
@@ -237,9 +238,24 @@ class TestKernel:
         # d=3, alpha=1, c=2, rho=0.9.
         assert kernel_qc(3, 1.0, 2.0, 0.9) == pytest.approx(1.3209914288876259984, rel=1e-12)
 
+    @pytest.mark.parametrize("d,alpha,c", [(2, 0.0, 1.0), (3, 1.0, 5.0), (5, -0.5, 10.0),
+                                           (2, -0.5, 30.0), (3, 2.0, 20.0)])
+    def test_closed_form_matches_quadrature(self, d, alpha, c):
+        rho = np.linspace(0.0, 2.0, 81)
+        ours = kernel_qc(d, alpha, c, rho)
+        assert np.max(np.abs(ours - kernel_qc_quadrature(d, alpha, c, rho))) <= 1e-14 * ours[0]
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    def test_line_against_mpmath(self, alpha):
+        # On the line the kernel is int_{-1}^{1} (1-s^2)^alpha cos(c rho s) ds.
+        c, rho = 3.0, 0.7
+        mp.mp.dps = 30
+        exact = mp.quad(lambda s: (1 - s * s) ** alpha * mp.cos(c * rho * s), [-1, 0, 1])
+        assert kernel_qc(1, alpha, c, rho) == pytest.approx(float(exact), rel=1e-14)
+
     def test_validation(self):
-        with pytest.raises(UnsupportedDimension):
-            kernel_qc(1, 0.0, 2.0, 0.5)
+        with pytest.raises(ValueError):
+            kernel_qc(0, 0.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             kernel_qc(2, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
