@@ -11,6 +11,7 @@ tolerance of the table/verify subcommands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,8 +39,11 @@ EXIT_NOT_CONVERGED = 3
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
+_FLOAT = "%.15e"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.15e}"
+    return _FLOAT % x
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,6 +60,14 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _float_csv(header: list[str], table: np.ndarray) -> str:
+    """CSV of a 2-d float table, each entry as _fmt prints it, formatted in
+    one pass over the table's Python floats."""
+    rows, cols = table.shape
+    line = ",".join([_FLOAT] * cols) + "\n"
+    return ",".join(header) + "\n" + (line * rows) % tuple(table.ravel().tolist())
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -137,8 +149,7 @@ def cmd_eval(args) -> int:
         values = eval_phi(f, 2.0 * grid * grid - 1.0)
     else:
         values = eval_radial(f, grid, form=args.form)
-    rows = [[_fmt(r), _fmt(v)] for r, v in zip(grid, np.atleast_1d(values))]
-    _emit(_csv(["r", "value"], rows), args.out)
+    _emit(_float_csv(["r", "value"], np.column_stack([grid, values])), args.out)
     return EXIT_OK
 
 
@@ -147,11 +158,8 @@ def cmd_eval_ball(args) -> int:
     f = family[args.k]
     points = _parse_points(args.points, args.dim)
     header = [f"x{i + 1}" for i in range(args.dim)] + ["value"]
-    rows = []
-    for point in points:
-        value = eval_psi_ball(f, args.ell, point)
-        rows.append([_fmt(coord) for coord in point] + [_fmt(value)])
-    _emit(_csv(header, rows), args.out)
+    values = eval_psi_ball(f, args.ell, points)
+    _emit(_float_csv(header, np.column_stack([points, values])), args.out)
     return EXIT_OK
 
 
@@ -183,8 +191,7 @@ def cmd_verify(args) -> int:
 
 def cmd_quad(args) -> int:
     rule = gauss_jacobi(args.alpha, args.beta, args.m)
-    rows = [[_fmt(x), _fmt(w)] for x, w in zip(rule.nodes, rule.weights)]
-    _emit(_csv(["node", "weight"], rows), args.out)
+    _emit(_float_csv(["node", "weight"], np.column_stack([rule.nodes, rule.weights])), args.out)
     return EXIT_OK
 
 
@@ -264,12 +271,18 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs about 15 times as much as parsing with it;
+    # parse_args keeps no state between calls, so one instance serves them all.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = _parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

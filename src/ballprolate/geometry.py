@@ -61,18 +61,11 @@ class SphericalPoint:
     def from_cartesian(cls, xhat) -> "SphericalPoint":
         """Build from a Cartesian unit vector (norm within 1e-14 of one)."""
         v = np.asarray(xhat, dtype=float)
-        d = v.size
-        if d not in _HARMONIC_DIMS:
-            raise UnsupportedDimension(f"spherical points support d in {_HARMONIC_DIMS}, got {d}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"|x| = {norm!r} is not a unit vector")
-        if d == 1:
-            return cls(1, (1.0 if v[0] > 0 else -1.0,))
-        if d == 2:
-            return cls(2, (math.atan2(v[1], v[0]),))
-        theta = math.acos(min(1.0, max(-1.0, v[2] / norm)))
-        return cls(3, (theta, math.atan2(v[1], v[0])))
+        if v.size not in _HARMONIC_DIMS:
+            raise UnsupportedDimension(f"spherical points support d in {_HARMONIC_DIMS}, got {v.size}")
+        row = v.reshape(1, -1)
+        _check_unit(row)
+        return cls(v.size, tuple(float(a) for a in _unit_angles(row)[0]))
 
 
 def sph_harm_dim(d: int, n: int) -> int:
@@ -86,20 +79,74 @@ def sph_harm_dim(d: int, n: int) -> int:
     return total
 
 
-def _as_point(d: int, point) -> SphericalPoint:
-    if isinstance(point, SphericalPoint):
-        if point.d != d:
-            raise ValueError(f"point has d={point.d}, expected {d}")
-        return point
-    return SphericalPoint.from_cartesian(point)
+def _check_harmonic(d: int, n: int, ell: int) -> None:
+    if d not in _HARMONIC_DIMS:
+        raise UnsupportedDimension(f"explicit harmonics exist for d in {_HARMONIC_DIMS}, got {d}")
+    if n < 0:
+        raise ValueError(f"degree n must be non-negative, got {n}")
+    if not 1 <= ell <= sph_harm_dim(d, n):
+        raise IndexOutOfRange(
+            f"ell={ell} outside 1..{sph_harm_dim(d, n)} for (d={d}, n={n})"
+        )
 
 
-def _jacobi_value(alpha: float, beta: float, j: int, x: float) -> float:
-    return float(jacobi_eval(JacobiBasis(alpha, beta), j, x)[j])
+def _point_rows(d: int, x) -> tuple[np.ndarray, bool]:
+    """One Cartesian point, shape (d,), or a batch, shape (N, d), as an (N, d)
+    array, and whether a single point was given."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != d:
+        raise ValueError(f"points must have {d} coordinates, got an array of shape {v.shape}")
+    return np.atleast_2d(v), v.ndim == 1
 
 
-def sph_harm_eval(d: int, n: int, ell: int, point) -> float:
-    """Real orthonormal spherical harmonic Y_ell^n at a point of S^(d-1).
+def _check_unit(rows: np.ndarray) -> None:
+    norm = np.linalg.norm(rows, axis=1)
+    bad = ~(np.abs(norm - 1.0) <= _UNIT_NORM_TOL)
+    if bad.any():
+        raise ValueError(f"|x| = {norm[bad][0]!r} is not a unit vector")
+
+
+def _unit_angles(u: np.ndarray) -> np.ndarray:
+    """SphericalPoint angles of the directions of the non-zero rows of u,
+    shape (N, 1) for d <= 2 and (N, 2) for d = 3."""
+    u = u / np.linalg.norm(u, axis=1)[:, None]
+    if u.shape[1] == 1:
+        return np.where(u > 0.0, 1.0, -1.0)
+    azimuth = np.arctan2(u[:, 1], u[:, 0])
+    if u.shape[1] == 2:
+        return azimuth[:, None]
+    return np.column_stack([np.arccos(np.clip(u[:, 2], -1.0, 1.0)), azimuth])
+
+
+def _harmonic(d: int, n: int, ell: int, angles: np.ndarray) -> np.ndarray:
+    """Y_ell^n at the rows of an (N, 1) or (N, 2) array of SphericalPoint
+    angles; the arguments are checked by the caller."""
+    if d == 1:
+        x = angles[:, 0]
+        return (np.ones_like(x) if n == 0 else x) / math.sqrt(2.0)
+    if d == 2:
+        theta = angles[:, 0]
+        if n == 0:
+            return np.full(theta.shape, 1.0 / math.sqrt(2.0 * math.pi))
+        trig = np.cos(n * theta) if ell == 1 else np.sin(n * theta)
+        return trig / math.sqrt(math.pi)
+    theta, phi = angles.T
+    if ell == 1:
+        return jacobi_eval(JacobiBasis(0.0, 0.0), n, np.cos(theta))[n] / math.sqrt(8.0 * math.pi)
+    m = ell // 2
+    radial = (
+        np.sin(theta) ** m
+        * jacobi_eval(JacobiBasis(float(m), float(m)), n - m, np.cos(theta))[n - m]
+        / (2.0 ** (m + 1) * math.sqrt(math.pi))
+    )
+    return radial * (np.cos(m * phi) if ell % 2 == 0 else np.sin(m * phi))
+
+
+def sph_harm_eval(d: int, n: int, ell: int, point):
+    """Real orthonormal spherical harmonic Y_ell^n on S^(d-1).
+
+    point is a SphericalPoint or a Cartesian unit vector, giving a float, or
+    an (N, d) array of Cartesian unit vectors, giving an (N,) array.
 
     d=1: Y_1^0 = 1/sqrt(2), Y_1^1 = x/sqrt(2).
     d=2: Y_1^0 = 1/sqrt(2 pi); Y_1^n = cos(n theta)/sqrt(pi) and
@@ -111,58 +158,49 @@ def sph_harm_eval(d: int, n: int, ell: int, point) -> float:
     orthonormal with respect to the surface measure (checked by quadrature
     in the test suite).
     """
-    if d not in _HARMONIC_DIMS:
-        raise UnsupportedDimension(f"explicit harmonics exist for d in {_HARMONIC_DIMS}, got {d}")
-    if n < 0:
-        raise ValueError(f"degree n must be non-negative, got {n}")
-    if not 1 <= ell <= sph_harm_dim(d, n):
-        raise IndexOutOfRange(
-            f"ell={ell} outside 1..{sph_harm_dim(d, n)} for (d={d}, n={n})"
-        )
-    pt = _as_point(d, point)
-    if d == 1:
-        x = pt.angles[0]
-        return (1.0 if n == 0 else x) / math.sqrt(2.0)
-    if d == 2:
-        theta = pt.angles[0]
-        if n == 0:
-            return 1.0 / math.sqrt(2.0 * math.pi)
-        trig = math.cos(n * theta) if ell == 1 else math.sin(n * theta)
-        return trig / math.sqrt(math.pi)
-    theta, phi = pt.angles
-    if ell == 1:
-        return _jacobi_value(0.0, 0.0, n, math.cos(theta)) / math.sqrt(8.0 * math.pi)
-    m = ell // 2
-    radial = (
-        math.sin(theta) ** m
-        * _jacobi_value(float(m), float(m), n - m, math.cos(theta))
-        / (2.0 ** (m + 1) * math.sqrt(math.pi))
-    )
-    return radial * (math.cos(m * phi) if ell % 2 == 0 else math.sin(m * phi))
+    _check_harmonic(d, n, ell)
+    if isinstance(point, SphericalPoint):
+        if point.d != d:
+            raise ValueError(f"point has d={point.d}, expected {d}")
+        angles, single = np.array([point.angles]), True
+    else:
+        rows, single = _point_rows(d, point)
+        _check_unit(rows)
+        angles = _unit_angles(rows)
+    value = _harmonic(d, n, ell, angles)
+    return float(value[0]) if single else value
 
 
-def _constant_harmonic(d: int) -> float:
-    """Value of the degree-0 harmonic, 1/sqrt(surface area of S^(d-1))."""
-    return {1: 1.0 / math.sqrt(2.0),
-            2: 1.0 / math.sqrt(2.0 * math.pi),
-            3: 1.0 / math.sqrt(4.0 * math.pi)}[d]
+def _ball_eval(d: int, n: int, ell: int, x, radial_part):
+    """radial_part(r) * Y_ell^n(x/r) at one point or an (N, d) array of points
+    of the closed unit ball, r = |x|; exactly 0 at the origin when n >= 1
+    (Y_ell^0 is constant, so the origin needs no direction when n = 0)."""
+    _check_harmonic(d, n, ell)
+    rows, single = _point_rows(d, x)
+    r = np.linalg.norm(rows, axis=1)
+    outside = ~(r <= 1.0 + 1e-12)
+    if outside.any():
+        raise ValueError(f"|x| = {r[outside][0]} lies outside the closed unit ball")
+    origin = r == 0.0
+    directions = rows.copy()
+    directions[origin, 0] = 1.0
+    value = radial_part(r) * _harmonic(d, n, ell, _unit_angles(directions))
+    if n >= 1:
+        value[origin] = 0.0
+    return float(value[0]) if single else value
 
 
-def ball_poly_eval(d: int, alpha: float, n: int, k: int, ell: int, x) -> float:
+def ball_poly_eval(d: int, alpha: float, n: int, k: int, ell: int, x):
     """Orthonormal ball polynomial P~_k^{(alpha, beta_n)}(2|x|^2 - 1) |x|^n
-    Y_ell^n(x/|x|) at a point of the closed unit ball; 0 at x = 0 when n >= 1."""
-    if d not in _HARMONIC_DIMS:
-        raise UnsupportedDimension(f"ball evaluation supports d in {_HARMONIC_DIMS}, got {d}")
-    v = np.asarray(x, dtype=float)
-    if v.size != d:
-        raise ValueError(f"point must have {d} coordinates, got {v.size}")
-    r = float(np.linalg.norm(v))
-    if r > 1.0 + 1e-12:
-        raise ValueError(f"|x| = {r} lies outside the closed unit ball")
-    radial = _jacobi_value(alpha, n + d / 2.0 - 1.0, k, 2.0 * r * r - 1.0)
-    if r == 0.0:
-        return 0.0 if n >= 1 else radial * _constant_harmonic(d)
-    return radial * r ** n * sph_harm_eval(d, n, ell, v / r)
+    Y_ell^n(x/|x|) on the closed unit ball; 0 at x = 0 when n >= 1.
+
+    x is one point, shape (d,), giving a float, or an (N, d) array giving an
+    (N,) array.
+    """
+    basis = JacobiBasis(alpha, n + d / 2.0 - 1.0)
+    return _ball_eval(
+        d, n, ell, x, lambda r: jacobi_eval(basis, k, 2.0 * r * r - 1.0)[k] * r ** n
+    )
 
 
 def eval_phi(pswf: RadialPswf, eta):
@@ -195,25 +233,15 @@ def eval_radial(pswf: RadialPswf, r, form: str = "plain"):
     return float(value) if np.isscalar(r) or r_arr.ndim == 0 else value
 
 
-def eval_psi_ball(pswf: RadialPswf, ell: int, x) -> float:
-    """Full eigenfunction value r^n phi(2 r^2 - 1) Y_ell^n(x/r) at a point of
-    the closed unit ball."""
+def eval_psi_ball(pswf: RadialPswf, ell: int, x):
+    """Full eigenfunction value r^n phi(2 r^2 - 1) Y_ell^n(x/r) on the closed
+    unit ball, r = |x|.
+
+    x is one point, shape (d,), giving a float, or an (N, d) array giving an
+    (N,) array.  ValueError if any point lies outside |x| <= 1 + 1e-12.
+    """
     p = pswf.params
-    if p.d not in _HARMONIC_DIMS:
-        raise UnsupportedDimension(
-            f"full ball evaluation supports d in {_HARMONIC_DIMS}, got {p.d}"
-        )
-    v = np.asarray(x, dtype=float)
-    if v.size != p.d:
-        raise ValueError(f"point must have {p.d} coordinates, got {v.size}")
-    r = float(np.linalg.norm(v))
-    if r > 1.0 + 1e-12:
-        raise ValueError(f"|x| = {r} lies outside the closed unit ball")
-    if r == 0.0:
-        if p.n >= 1:
-            return 0.0
-        return eval_phi(pswf, -1.0) * _constant_harmonic(p.d)
-    return eval_radial(pswf, r, "plain") * sph_harm_eval(p.d, p.n, ell, v / r)
+    return _ball_eval(p.d, p.n, ell, x, lambda r: eval_radial(pswf, r, "plain"))
 
 
 def kernel_qc(d: int, alpha: float, c: float, rho):

@@ -5,7 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 
-from ballprolate.geometry import SphericalPoint, sph_harm_dim, sph_harm_eval
+from ballprolate.geometry import (
+    SphericalPoint,
+    ball_poly_eval,
+    eval_phi,
+    eval_radial,
+    sph_harm_dim,
+    sph_harm_eval,
+)
 from ballprolate.linalg import gauss_jacobi
 from ballprolate.specfn import JacobiBasis, bessel_j_scaled, jacobi_eval
 
@@ -49,29 +56,93 @@ def closed_form_moment(k, alpha, beta):
     return float(2 ** (al + be + 1) * total)
 
 
-def surface_rule(d, n_theta=40, n_phi=64):
-    """Quadrature points and weights over S^(d-1): trapezoid in periodic
-    angles, Gauss-Legendre in cos(theta) for d = 3."""
+def _reference_angles(point):
+    if isinstance(point, SphericalPoint):
+        return point.angles
+    v = np.asarray(point, dtype=float)
+    if v.size == 1:
+        return (1.0 if v[0] > 0 else -1.0,)
+    if v.size == 2:
+        return (math.atan2(v[1], v[0]),)
+    norm = float(np.linalg.norm(v))
+    return (math.acos(min(1.0, max(-1.0, v[2] / norm))), math.atan2(v[1], v[0]))
+
+
+def _jacobi_value(alpha, beta, j, x):
+    return float(jacobi_eval(JacobiBasis(alpha, beta), j, x)[j])
+
+
+def _constant_harmonic(d):
+    return {1: 1.0 / math.sqrt(2.0),
+            2: 1.0 / math.sqrt(2.0 * math.pi),
+            3: 1.0 / math.sqrt(4.0 * math.pi)}[d]
+
+
+def sph_harm_reference(d, n, ell, point):
+    """Y_ell^n at one SphericalPoint or Cartesian unit vector by per-point
+    math-module formulas, as a reference for the array evaluation."""
+    angles = _reference_angles(point)
+    if d == 1:
+        return (1.0 if n == 0 else angles[0]) / math.sqrt(2.0)
     if d == 2:
-        thetas = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        points = [SphericalPoint(2, (t,)) for t in thetas]
-        weights = np.full(n_phi, 2.0 * math.pi / n_phi)
-        return points, weights
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+        theta = angles[0]
+        if n == 0:
+            return 1.0 / math.sqrt(2.0 * math.pi)
+        trig = math.cos(n * theta) if ell == 1 else math.sin(n * theta)
+        return trig / math.sqrt(math.pi)
+    theta, phi = angles
+    if ell == 1:
+        return _jacobi_value(0.0, 0.0, n, math.cos(theta)) / math.sqrt(8.0 * math.pi)
+    m = ell // 2
+    radial = (
+        math.sin(theta) ** m
+        * _jacobi_value(float(m), float(m), n - m, math.cos(theta))
+        / (2.0 ** (m + 1) * math.sqrt(math.pi))
+    )
+    return radial * (math.cos(m * phi) if ell % 2 == 0 else math.sin(m * phi))
+
+
+def ball_poly_reference(d, alpha, n, k, ell, x):
+    """Per-point reference for ball_poly_eval at one point of the ball."""
+    v = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(v))
+    radial = _jacobi_value(alpha, n + d / 2.0 - 1.0, k, 2.0 * r * r - 1.0)
+    if r == 0.0:
+        return 0.0 if n >= 1 else radial * _constant_harmonic(d)
+    return radial * r ** n * sph_harm_reference(d, n, ell, v / r)
+
+
+def eval_psi_ball_reference(pswf, ell, x):
+    """Per-point reference for eval_psi_ball at one point of the ball."""
+    p = pswf.params
+    v = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(v))
+    if r == 0.0:
+        return 0.0 if p.n >= 1 else eval_phi(pswf, -1.0) * _constant_harmonic(p.d)
+    return eval_radial(pswf, r, "plain") * sph_harm_reference(p.d, p.n, ell, v / r)
+
+
+def surface_rule(d, n_theta=40, n_phi=64):
+    """Quadrature points, as an (N, d) array of Cartesian unit vectors, and
+    weights over S^(d-1): trapezoid in periodic angles, Gauss-Legendre in
+    cos(theta) for d = 3."""
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    points, weights = [], []
-    for xi, wi in zip(x, w):
-        for p in phis:
-            points.append(SphericalPoint(3, (math.acos(xi), p)))
-            weights.append(wi * 2.0 * math.pi / n_phi)
-    return points, np.asarray(weights)
+    if d == 2:
+        points = np.column_stack([np.cos(phis), np.sin(phis)])
+        return points, np.full(n_phi, 2.0 * math.pi / n_phi)
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    sin_theta = np.sqrt(1.0 - x * x)
+    points = np.stack([np.multiply.outer(sin_theta, np.cos(phis)),
+                       np.multiply.outer(sin_theta, np.sin(phis)),
+                       np.multiply.outer(x, np.ones(n_phi))], axis=-1).reshape(-1, 3)
+    return points, np.repeat(w, n_phi) * 2.0 * math.pi / n_phi
 
 
 def sphere_gram(d, n_max, n_theta=40, n_phi=64):
     """Gram matrix of all spherical harmonics of degree <= n_max."""
     labels = [(n, ell) for n in range(n_max + 1) for ell in range(1, sph_harm_dim(d, n) + 1)]
     points, weights = surface_rule(d, n_theta, n_phi)
-    values = np.array([[sph_harm_eval(d, n, ell, pt) for pt in points] for n, ell in labels])
+    values = np.array([sph_harm_eval(d, n, ell, points) for n, ell in labels])
     return (values * weights) @ values.T
 
 
@@ -81,18 +152,12 @@ def ball_gram(d, alpha, degree_max, radial_nodes=20):
     rule = gauss_jacobi(alpha, d / 2.0 - 1.0, radial_nodes)
     radii = np.sqrt(0.5 * (1.0 + rule.nodes))
     rad_w = rule.weights * 2.0 ** (-(alpha + d / 2.0 + 1.0))
-    points, sw = surface_rule(d, n_theta=24, n_phi=48)
+    directions, sw = surface_rule(d, n_theta=24, n_phi=48)
+    points = np.multiply.outer(radii, directions).reshape(-1, d)
+    weights = np.multiply.outer(rad_w, sw).ravel()
     labels = [(n, k, ell)
               for n in range(degree_max + 1)
               for k in range((degree_max - n) // 2 + 1)
               for ell in range(1, sph_harm_dim(d, n) + 1)]
-    radial, angular = [], []
-    for n, k, ell in labels:
-        jac = jacobi_eval(JacobiBasis(alpha, n + d / 2.0 - 1.0), k, rule.nodes)[k]
-        radial.append(jac * radii ** n)
-        angular.append([sph_harm_eval(d, n, ell, pt) for pt in points])
-    radial = np.array(radial)
-    angular = np.array(angular)
-    rad_inner = (radial * rad_w) @ radial.T
-    ang_inner = (angular * sw) @ angular.T
-    return rad_inner * ang_inner
+    values = np.array([ball_poly_eval(d, alpha, n, k, ell, points) for n, k, ell in labels])
+    return (values * weights) @ values.T

@@ -6,13 +6,74 @@ import math
 import numpy as np
 import pytest
 
-from ballprolate.cli import main
+from ballprolate.cli import _parse_grid, main
+from ballprolate.geometry import eval_phi, eval_radial
+from ballprolate.linalg import gauss_jacobi
+from ballprolate.pswf import solve_pswfs
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_row_csv(header, columns):
+    """CSV with one f"{x:.15e}" call per NumPy scalar, joined row by row: the
+    reference for the one-pass formatting of the numeric subcommands."""
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{x:.15e}" for x in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("grid", ["0:0.05:1.3", "0:0.0007:1", "0.31:0.17:0.99"])
+    @pytest.mark.parametrize("form", ["slepian", "phi"])
+    def test_eval_matches_per_row_format(self, capsys, grid, form):
+        code, out, _ = run(capsys, "eval", "--dim", "2", "--alpha", "-0.5", "--c", "6",
+                           "--n", "0", "--k", "3", "--form", form, "--r", grid)
+        assert code == 0
+        f = solve_pswfs(2, -0.5, 6.0, 0, 3)[3]
+        r = _parse_grid(grid)
+        values = eval_radial(f, r, "slepian") if form == "slepian" else eval_phi(f, 2 * r * r - 1)
+        assert (values < 0).any()
+        assert out == per_row_csv(["r", "value"], [r, values])
+
+    def test_eval_negative_zero(self, capsys):
+        # At r = 0 the slepian form is 0 * phi(-1) = -0.0 for this mode.
+        code, out, _ = run(capsys, "eval", "--dim", "2", "--alpha", "-0.5", "--c", "6",
+                           "--n", "0", "--k", "3", "--form", "slepian", "--r", "0:0.5:1")
+        assert code == 0
+        assert out.split("\n")[1] == "0.000000000000000e+00,-0.000000000000000e+00"
+
+    @pytest.mark.parametrize("alpha,beta,m", [("0", "0", "7"), ("-0.5", "-0.5", "65"),
+                                              ("1.3", "-0.2", "301")])
+    def test_quad_matches_per_row_format(self, capsys, alpha, beta, m):
+        code, out, _ = run(capsys, "quad", "--alpha", alpha, "--beta", beta, "--m", m)
+        assert code == 0
+        rule = gauss_jacobi(float(alpha), float(beta), int(m))
+        assert out == per_row_csv(["node", "weight"], [rule.nodes, rule.weights])
+
+
+class TestParserReuse:
+    def test_consecutive_calls_are_independent(self, capsys, tmp_path):
+        target = tmp_path / "rule.csv"
+        assert main(["quad", "--alpha", "0", "--beta", "0", "--m", "2", "--out", str(target)]) == 0
+        code, solved, _ = run(capsys, "solve", "--dim", "3", "--alpha", "1", "--c", "0",
+                              "--n", "0", "--k-max", "1")
+        assert code == 0 and solved.startswith("k,chi,lambda,mu,K\n")
+        code, slepian, _ = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",
+                               "--n", "0", "--k", "0", "--form", "slepian", "--r", "0:0.5:1")
+        assert code == 0
+        # Neither --out nor --form carries over to a later call.
+        code, plain, _ = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",
+                             "--n", "0", "--k", "0", "--r", "0:0.5:1")
+        assert code == 0
+        f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
+        r = np.array([0.0, 0.5, 1.0])
+        assert plain == per_row_csv(["r", "value"], [r, eval_radial(f, r, "plain")])
+        assert slepian == per_row_csv(["r", "value"], [r, eval_radial(f, r, "slepian")])
+        assert len(target.read_text().splitlines()) == 3
 
 
 class TestSolve:

@@ -20,7 +20,14 @@ from ballprolate.geometry import (
 from ballprolate.linalg import gauss_jacobi
 from ballprolate.pswf import solve_pswfs
 from ballprolate.specfn import JacobiBasis, jacobi_eval
-from helpers import ball_gram, kernel_qc_quadrature, sphere_gram
+from helpers import (
+    ball_gram,
+    ball_poly_reference,
+    eval_psi_ball_reference,
+    kernel_qc_quadrature,
+    sph_harm_reference,
+    sphere_gram,
+)
 
 
 class TestSphHarmDim:
@@ -201,17 +208,107 @@ class TestEvalPsiBall:
         radii = np.sqrt(0.5 * (1.0 + rule.nodes))
         rad_w = rule.weights * 0.25
         m = 64
-        total = 0.0
-        for theta in 2.0 * math.pi * np.arange(m) / m:
-            direction = np.array([math.cos(theta), math.sin(theta)])
-            vals = np.array([eval_psi_ball(f, 1, r * direction) for r in radii])
-            total += (vals * vals) @ rad_w * (2.0 * math.pi / m)
-        assert total == pytest.approx(1.0, abs=1e-11)
+        theta = 2.0 * math.pi * np.arange(m) / m
+        directions = np.column_stack([np.cos(theta), np.sin(theta)])
+        vals = eval_psi_ball(f, 1, np.multiply.outer(radii, directions).reshape(-1, 2))
+        weights = np.multiply.outer(rad_w, np.full(m, 2.0 * math.pi / m)).ravel()
+        assert (vals * vals) @ weights == pytest.approx(1.0, abs=1e-11)
 
     def test_outside_ball_rejected(self):
         f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
         with pytest.raises(ValueError):
             eval_psi_ball(f, 1, (1.2, 0.0))
+
+
+def _contract_points(d):
+    """Interior points, the origin, the poles (+-e_d, also at half radius),
+    the points +-e_1 and random points on the boundary |x| = 1."""
+    rng = np.random.default_rng(d)
+    directions = rng.standard_normal((24, d))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    radii = np.concatenate([rng.uniform(0.0, 1.0, 16), np.ones(8)])
+    axes = np.eye(d)[[0, -1]]
+    special = np.concatenate([np.zeros((1, d)), axes, -axes, 0.5 * axes, -0.5 * axes])
+    return np.concatenate([special, directions * radii[:, None]])
+
+
+def _deviation(values, reference):
+    """max |values - reference| in units of max |reference|."""
+    return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
+
+
+_DEGREES = [(d, n) for d in (1, 2, 3) for n in range(4) if sph_harm_dim(d, n)]
+
+
+class TestArrayContract:
+    """Array evaluation against the per-point reference of tests/helpers.py."""
+
+    @pytest.mark.parametrize("d,n", _DEGREES)
+    def test_matches_per_point_reference(self, d, n):
+        points = _contract_points(d)
+        on_sphere = points[np.linalg.norm(points, axis=1) > 0.0]
+        on_sphere = on_sphere / np.linalg.norm(on_sphere, axis=1)[:, None]
+        family = solve_pswfs(d, 0.5, 7.0, n, 2)
+        for ell in range(1, sph_harm_dim(d, n) + 1):
+            harmonic = sph_harm_eval(d, n, ell, on_sphere)
+            expected = [sph_harm_reference(d, n, ell, u) for u in on_sphere]
+            assert _deviation(harmonic, expected) <= 1e-14
+            for k, f in enumerate(family):
+                poly = ball_poly_eval(d, 0.5, n, k, ell, points)
+                expected = [ball_poly_reference(d, 0.5, n, k, ell, x) for x in points]
+                assert _deviation(poly, expected) <= 1e-14
+                psi = eval_psi_ball(f, ell, points)
+                expected = [eval_psi_ball_reference(f, ell, x) for x in points]
+                assert _deviation(psi, expected) <= 1e-14
+
+    def test_negative_control(self):
+        f = solve_pswfs(2, 0.5, 7.0, 1, 2)[2]
+        points = _contract_points(2)
+        expected = [eval_psi_ball_reference(f, 1, x) for x in points]
+        scaled = points.copy()
+        scaled[-10] *= 1.0 + 1e-6
+        assert _deviation(eval_psi_ball(f, 1, scaled), expected) > 1e-14
+
+    def test_shapes(self):
+        f = solve_pswfs(3, 0.0, 2.0, 2, 0)[0]
+        points = _contract_points(3)
+        assert eval_psi_ball(f, 3, points).shape == (len(points),)
+        assert eval_psi_ball(f, 3, points[:1]).shape == (1,)
+        assert ball_poly_eval(3, 0.0, 2, 1, 3, points).shape == (len(points),)
+        assert sph_harm_eval(3, 2, 3, points[1:3]).shape == (2,)
+        assert type(eval_psi_ball(f, 3, points[5])) is float
+        assert type(ball_poly_eval(3, 0.0, 2, 1, 3, points[5])) is float
+        assert type(sph_harm_eval(3, 2, 3, points[1])) is float
+        assert type(sph_harm_eval(3, 2, 3, SphericalPoint(3, (0.3, 1.1)))) is float
+
+    def test_batch_validation(self):
+        f = solve_pswfs(2, 0.0, 2.0, 1, 0)[0]
+        points = _contract_points(2)
+        outside = points.copy()
+        outside[-3] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="outside the closed unit ball"):
+            eval_psi_ball(f, 1, outside)
+        with pytest.raises(ValueError, match="outside the closed unit ball"):
+            ball_poly_eval(2, 0.0, 1, 0, 1, outside)
+        with pytest.raises(ValueError, match="coordinates"):
+            eval_psi_ball(f, 1, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="unit vector"):
+            sph_harm_eval(2, 1, 1, 0.5 * np.eye(2))
+        # ell is checked even when every point is the origin.
+        with pytest.raises(IndexOutOfRange):
+            eval_psi_ball(f, 3, np.zeros((2, 2)))
+        with pytest.raises(UnsupportedDimension):
+            eval_psi_ball(solve_pswfs(5, 0.0, 2.0, 0, 0)[0], 1, np.zeros((2, 5)))
+
+    def test_origin_rows(self):
+        f0 = solve_pswfs(3, 0.0, 1.0, 0, 1)[1]
+        f1 = solve_pswfs(3, 0.0, 1.0, 1, 1)[1]
+        batch = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])
+        at_origin = eval_phi(f0, -1.0) / math.sqrt(4.0 * math.pi)
+        assert eval_psi_ball(f0, 1, batch)[[0, 2]] == pytest.approx([at_origin] * 2, rel=1e-14)
+        values = eval_psi_ball(f1, 2, batch)
+        assert values[0] == 0.0 and math.copysign(1.0, values[0]) == 1.0
+        assert values[2] == 0.0 and math.copysign(1.0, values[2]) == 1.0
 
 
 class TestKernel:
