@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEndpoint, NonPositiveLambda, TruncationNotConverged
-from .linalg import TridiagonalSym, eig_symtridiag
+from .linalg import TridiagonalSym, _eigh_tridiagonal, eig_symtridiag
 from .specfn import JacobiBasis, _recurrence_arrays, clenshaw
 
 __all__ = [
@@ -147,13 +147,15 @@ def build_matrix(d: int, alpha: float, c: float, n: int, K: int) -> TridiagonalS
     return TridiagonalSym(diag, a[:-1] * half_c2)
 
 
-def _apply_sign_rule(coeffs: np.ndarray, k: int) -> np.ndarray:
-    pivot = coeffs[k]
-    if abs(pivot) >= _SIGN_PIVOT_FLOOR:
-        return -coeffs if pivot < 0.0 else coeffs
-    if coeffs[int(np.argmax(np.abs(coeffs)))] < 0.0:
-        return -coeffs
-    return coeffs
+def _apply_sign_rule(vectors: np.ndarray) -> np.ndarray:
+    """Column k of vectors negated where needed so that its entry k is
+    positive, or, when that entry is below 1e-12 in magnitude, so that its
+    first largest-magnitude entry is positive."""
+    k = np.arange(vectors.shape[1])
+    pivot = vectors[k, k]
+    largest = vectors[np.argmax(np.abs(vectors), axis=0), k]
+    lead = np.where(np.abs(pivot) >= _SIGN_PIVOT_FLOOR, pivot, largest)
+    return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[RadialPswf]:
@@ -161,35 +163,37 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
 
     The matrix is built at the truncation_size cut-off and the k_max+1
     smallest eigenpairs are returned in ascending chi.  A convergence guard
-    re-solves at twice the truncation and requires each returned chi to move
-    by at most 1e-13 relative, raising TruncationNotConverged otherwise.
+    re-solves at twice the truncation, for eigenvalues only, and requires
+    each returned chi to move by at most 1e-13 relative, raising
+    TruncationNotConverged for the first k that moves more.
     """
     _validate_family(d, alpha, c, n)
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     K = truncation_size(d, alpha, n, k_max)
     values, vectors = eig_symtridiag(build_matrix(d, alpha, c, n, K))
-    values_fine, _ = eig_symtridiag(build_matrix(d, alpha, c, n, 2 * K))
-    for k in range(k_max + 1):
-        a, b = values[k], values_fine[k]
-        scale = max(abs(a), abs(b))
-        if scale > 0.0 and abs(a - b) > _TRUNCATION_RTOL * scale:
-            raise TruncationNotConverged(
-                f"chi for (d={d}, alpha={alpha}, c={c}, n={n}, k={k}) moved by "
-                f"{abs(a - b) / scale:.3e} relative when doubling K={K}"
-            )
-    out = []
-    for k in range(k_max + 1):
-        coeffs = _apply_sign_rule(vectors[:, k].copy(), k)
-        out.append(
-            RadialPswf(
-                params=PswfParams(d=d, alpha=alpha, c=c, n=n, k=k),
-                chi=float(values[k]),
-                coeffs=coeffs,
-                truncation=K,
-            )
+    values = values[:k_max + 1]
+    tri_fine = build_matrix(d, alpha, c, n, 2 * K)
+    fine = _eigh_tridiagonal(tri_fine, eigvals_only=True)[:k_max + 1]
+    scale = np.maximum(np.abs(values), np.abs(fine))
+    moved = np.abs(values - fine)
+    unstable = np.flatnonzero((scale > 0.0) & (moved > _TRUNCATION_RTOL * scale))
+    if unstable.size:
+        k = int(unstable[0])
+        raise TruncationNotConverged(
+            f"chi for (d={d}, alpha={alpha}, c={c}, n={n}, k={k}) moved by "
+            f"{moved[k] / scale[k]:.3e} relative when doubling K={K}"
         )
-    return out
+    coeffs = _apply_sign_rule(vectors[:, :k_max + 1])
+    return [
+        RadialPswf(
+            params=PswfParams(d=d, alpha=alpha, c=c, n=n, k=k),
+            chi=float(values[k]),
+            coeffs=coeffs[:, k].copy(),
+            truncation=K,
+        )
+        for k in range(k_max + 1)
+    ]
 
 
 def lambda_eigenvalue(pswf: RadialPswf) -> float:

@@ -114,7 +114,9 @@ def clenshaw(basis: JacobiBasis, coeffs, eta):
     """Sum_j coeffs[j] * P~_j(eta) by backward (Clenshaw) recurrence.
 
     Shares the recurrence coefficients with jacobi_eval; eta may be a scalar
-    or an ndarray.
+    or an ndarray.  A one-element eta runs the recurrence on a Python float,
+    which performs the same IEEE operations in the same order as the array
+    loop but without NumPy's per-operation overhead.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
@@ -126,19 +128,19 @@ def clenshaw(basis: JacobiBasis, coeffs, eta):
     h0 = _norm_const(basis, 0)
     if m == 0:
         value = coeffs[0] / h0 * np.ones_like(eta_arr)
-        return float(value) if np.isscalar(eta) or eta_arr.ndim == 0 else value
-    a, b = _recurrence_arrays(basis, m)
-    ynext = np.zeros_like(eta_arr)
-    ynext2 = np.zeros_like(eta_arr)
+        return float(value) if eta_arr.ndim == 0 else value
+    # One entry past m so that every step has a[j + 1]; at j = m it
+    # multiplies ynext2 = 0 and subtracts an exact zero.
+    a, b = (v.tolist() for v in _recurrence_arrays(basis, m + 1))
+    c = coeffs.tolist()
+    x = eta_arr.item() if eta_arr.size == 1 else eta_arr
+    ynext = ynext2 = 0.0
     for j in range(m, -1, -1):
-        y = coeffs[j] + (eta_arr - b[j]) / a[j] * ynext
-        if j + 1 <= m:
-            y = y - a[j] / a[j + 1] * ynext2
-        ynext, ynext2 = y, ynext
+        ynext, ynext2 = c[j] + (x - b[j]) / a[j] * ynext - a[j] / a[j + 1] * ynext2, ynext
     # S = y_0 * P~_0: the P~_1 tail term vanishes because
     # P~_1 = (eta - b_0)/a_0 * P~_0 with P~_{-1} = 0.
     value = ynext / h0
-    return float(value) if np.isscalar(eta) or eta_arr.ndim == 0 else value
+    return float(value) if eta_arr.ndim == 0 else np.reshape(value, eta_arr.shape)
 
 
 _SERIES_CUTOFF = 2.0

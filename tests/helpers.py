@@ -14,7 +14,14 @@ from ballprolate.geometry import (
     sph_harm_eval,
 )
 from ballprolate.linalg import gauss_jacobi
-from ballprolate.specfn import JacobiBasis, bessel_j_scaled, jacobi_eval
+from ballprolate.pswf import solve_pswfs
+from ballprolate.specfn import (
+    JacobiBasis,
+    _norm_const,
+    _recurrence_arrays,
+    bessel_j_scaled,
+    jacobi_eval,
+)
 
 
 def jacobi_ab_reference(alpha, beta, j):
@@ -32,6 +39,55 @@ def jacobi_ab_reference(alpha, beta, j):
         / ((2 * j + s + 1) * (2 * j + s + 2) ** 2 * (2 * j + s + 3))
     )
     return a, b
+
+
+def clenshaw_reference(basis, coeffs, eta):
+    """Clenshaw sum with NumPy operations on eta as an array of any shape,
+    as a reference that the scalar fast path must match bit for bit."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise ValueError("coeffs must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coeffs must be finite")
+    eta_arr = np.asarray(eta, dtype=float)
+    m = coeffs.size - 1
+    h0 = _norm_const(basis, 0)
+    if m == 0:
+        value = coeffs[0] / h0 * np.ones_like(eta_arr)
+        return float(value) if np.isscalar(eta) or eta_arr.ndim == 0 else value
+    a, b = _recurrence_arrays(basis, m)
+    ynext = np.zeros_like(eta_arr)
+    ynext2 = np.zeros_like(eta_arr)
+    for j in range(m, -1, -1):
+        y = coeffs[j] + (eta_arr - b[j]) / a[j] * ynext
+        if j + 1 <= m:
+            y = y - a[j] / a[j + 1] * ynext2
+        ynext, ynext2 = y, ynext
+    value = ynext / h0
+    return float(value) if np.isscalar(eta) or eta_arr.ndim == 0 else value
+
+
+def sign_rule_reference(coeffs, k):
+    """Per-column sign rule: make coeffs[k] positive, or the first
+    largest-magnitude entry when |coeffs[k]| < 1e-12."""
+    pivot = coeffs[k]
+    if abs(pivot) >= 1e-12:
+        return -coeffs if pivot < 0.0 else coeffs
+    if coeffs[int(np.argmax(np.abs(coeffs)))] < 0.0:
+        return -coeffs
+    return coeffs
+
+
+# (d, alpha, c) of the families on which fast paths are pinned to their
+# references bit for bit.
+BIT_IDENTITY_GRID = [(d, alpha, c) for d in (1, 2, 3, 5)
+                     for alpha in (-0.5, 0.0, 1.0) for c in (0.5, 5.0, 20.0)]
+
+
+def bit_identity_families(d, alpha, c, k_max=12):
+    """Solved families (d, alpha, c, n, k_max) for every n <= 2 (n <= 1 at
+    d = 1)."""
+    return [solve_pswfs(d, alpha, c, n, k_max) for n in range(2 if d == 1 else 3)]
 
 
 def kernel_qc_quadrature(d, alpha, c, rho):

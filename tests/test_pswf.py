@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ballprolate.errors import NonPositiveLambda
+import ballprolate.pswf as pswf_module
+from ballprolate.errors import NonPositiveLambda, TruncationNotConverged
+from ballprolate.linalg import _eigh_tridiagonal, eig_symtridiag
 from ballprolate.pswf import (
+    _apply_sign_rule,
     PswfParams,
     RadialPswf,
     build_matrix,
@@ -20,6 +24,12 @@ from ballprolate.pswf import (
     truncation_size,
 )
 from ballprolate.specfn import JacobiBasis, jacobi_coeffs
+from helpers import (
+    BIT_IDENTITY_GRID,
+    bit_identity_families,
+    clenshaw_reference,
+    sign_rule_reference,
+)
 
 
 def lambda0_limit(d, alpha, n):
@@ -101,6 +111,53 @@ class TestSolve:
         doubled, _ = eig_symtridiag(build_matrix(3, 1.0, 10.0, 2, 2 * K))
         assert abs(f.chi - doubled[4]) <= 1e-13 * abs(doubled[4])
 
+    def test_sign_rule_matches_per_column_reference(self):
+        vectors = np.random.default_rng(3).standard_normal((6, 5))
+        vectors[1, 1] = -0.5
+        # |pivot| < 1e-12: the first of the two largest magnitudes decides.
+        vectors[:, 2] = [0.3, -0.9, 1e-13, 0.9, 0.1, 0.0]
+        vectors[:, 3] = [0.2, 0.1, -0.3, 0.0, 0.5, -0.4]
+        vectors[:, 4] = [0.7, -0.8, 0.2, 0.1, -1e-13, 0.0]
+        signed = _apply_sign_rule(vectors)
+        for k in range(5):
+            expected = sign_rule_reference(vectors[:, k].copy(), k)
+            assert signed[:, k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d,alpha,c,n,k_max,k,K", [
+        (2, 0.0, 30.0, 0, 0, 0, 15),
+        (1, 1.0, 60.0, 0, 3, 1, 22),
+        (5, 2.5, 60.0, 2, 3, 3, 25),
+    ])
+    def test_guard_reports_first_unstable_mode(self, d, alpha, c, n, k_max, k, K):
+        message = (rf"chi for \(d={d}, alpha={alpha}, c={c}, n={n}, k={k}\) moved by "
+                   rf"\d\.\d{{3}}e-\d\d relative when doubling K={K}$")
+        with pytest.raises(TruncationNotConverged, match=message):
+            solve_pswfs(d, alpha, c, n, k_max)
+
+    @pytest.mark.parametrize("d,alpha,c,n,k_max", [
+        (2, 0.0, 10.0, 0, 400),
+        (3, 1.0, 25.0, 2, 100),
+        (1, -0.5, 5.0, 1, 40),
+        (5, 0.0, 0.5, 0, 12),
+    ])
+    def test_guard_eigenvalues_match_full_solve(self, d, alpha, c, n, k_max):
+        tri = build_matrix(d, alpha, c, n, 2 * truncation_size(d, alpha, n, k_max))
+        full, _ = eig_symtridiag(tri)
+        guard = _eigh_tridiagonal(tri, eigvals_only=True)
+        np.testing.assert_allclose(guard[:k_max + 1], full[:k_max + 1], rtol=1e-14, atol=0.0)
+
+    def test_guard_requests_no_eigenvectors(self, monkeypatch):
+        calls = []
+        original = scipy.linalg.eigh_tridiagonal
+
+        def spy(diag, offdiag, **kwargs):
+            calls.append((len(diag), kwargs.get("eigvals_only", False)))
+            return original(diag, offdiag, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        K = solve_pswfs(3, 1.0, 10.0, 2, 4)[0].truncation
+        assert calls == [(K + 1, False), (2 * K + 1, True)]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_pswfs(0, 0.0, 1.0, 0, 0)
@@ -170,6 +227,15 @@ class TestLambda:
         broken = RadialPswf(params=params, chi=0.5, coeffs=coeffs, truncation=1)
         with pytest.raises(NonPositiveLambda):
             lambda_eigenvalue(broken)
+
+
+class TestLambdaBitIdentity:
+    @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
+    def test_endpoint_formula_matches_reference(self, d, alpha, c, monkeypatch):
+        families = bit_identity_families(d, alpha, c)
+        fast = [[lambda_eigenvalue(f) for f in family] for family in families]
+        monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
+        assert fast == [[lambda_eigenvalue(f) for f in family] for family in families]
 
 
 class TestMu:

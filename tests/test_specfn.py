@@ -18,8 +18,13 @@ from ballprolate.specfn import (
     jacobi_eval,
 )
 from ballprolate.linalg import gauss_jacobi
-from ballprolate.pswf import build_matrix
-from helpers import jacobi_ab_reference
+from ballprolate.pswf import build_matrix, solve_pswfs
+from helpers import (
+    BIT_IDENTITY_GRID,
+    bit_identity_families,
+    clenshaw_reference,
+    jacobi_ab_reference,
+)
 
 BASES = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.5), (-0.5, 2.0)]
 
@@ -220,6 +225,43 @@ class TestClenshaw:
             clenshaw(JacobiBasis(0.0, 0.0), [], 0.0)
         with pytest.raises(ValueError):
             clenshaw(JacobiBasis(0.0, 0.0), [1.0, math.inf], 0.0)
+
+
+def _bits(value):
+    """Type, shape and raw bytes: equal only for bit-identical results,
+    signed zeros and NaNs included."""
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class TestClenshawBitIdentity:
+    @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
+    def test_matches_reference(self, d, alpha, c):
+        grid = np.random.default_rng(5).uniform(-1.2, 1.5, 37)
+        etas = [-1.0, 0.3, np.float64(0.7), np.array(-0.2), np.array([0.1]),
+                np.array([[-0.4]]), [0.9], grid]
+        for family in bit_identity_families(d, alpha, c):
+            for f in family:
+                for eta in etas:
+                    got = clenshaw(f.basis, f.coeffs, eta)
+                    assert _bits(got) == _bits(clenshaw_reference(f.basis, f.coeffs, eta))
+
+    @pytest.mark.parametrize("coeffs", [[-0.0], [0.5], [-0.0, -0.0], [0.5, -0.25, 1.5, -0.0, 2.0]])
+    def test_special_arguments_match_reference(self, coeffs):
+        basis = JacobiBasis(0.0, 0.5)
+        for x in (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e200, 5e-324):
+            for eta in (x, np.array(x), np.array([x]), np.array([x, 0.5])):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = clenshaw(basis, coeffs, eta)
+                    want = clenshaw_reference(basis, coeffs, eta)
+                assert _bits(got) == _bits(want)
+
+    def test_one_ulp_negative_control(self):
+        f = solve_pswfs(2, 0.0, 5.0, 0, 12)[0]
+        perturbed = f.coeffs.copy()
+        perturbed[0] = np.nextafter(perturbed[0], np.inf)
+        for eta in (0.5, np.array([0.5]), np.linspace(-1.0, 1.0, 37)):
+            got = clenshaw(f.basis, perturbed, eta)
+            assert _bits(got) != _bits(clenshaw_reference(f.basis, f.coeffs, eta))
 
 
 class TestBesselScaled:
