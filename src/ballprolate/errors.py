@@ -6,7 +6,7 @@ class EigenConvergenceError(RuntimeError):
 
 
 class TruncationNotConverged(RuntimeError):
-    """Doubling the expansion truncation moved an eigenvalue more than tolerated."""
+    """The residual certificate of the truncated eigensolve failed at the cap on K."""
 
 
 class DegenerateEndpoint(ArithmeticError):

@@ -74,21 +74,6 @@ class QuadratureRule:
         return float(np.asarray(values, dtype=float) @ self.weights)
 
 
-def _eigh_tridiagonal(tri: TridiagonalSym, eigvals_only: bool):
-    """scipy's eigh_tridiagonal with LAPACK failure reported as
-    EigenConvergenceError.  With eigvals_only it returns the ascending
-    eigenvalues alone (LAPACK dstevd without vectors, i.e. dsterf), faster
-    and without the (size x size) vector memory."""
-    try:
-        return scipy.linalg.eigh_tridiagonal(
-            tri.diag, tri.offdiag, eigvals_only=eigvals_only
-        )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise EigenConvergenceError(
-            f"tridiagonal eigensolve of size {tri.size} failed: {exc}"
-        ) from exc
-
-
 def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric tridiagonal matrix.
 
@@ -97,7 +82,12 @@ def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     component of magnitude above 1e-300 is positive.  Convergence failure in
     the underlying LAPACK routine is reported as EigenConvergenceError.
     """
-    values, vectors = _eigh_tridiagonal(tri, eigvals_only=False)
+    try:
+        values, vectors = scipy.linalg.eigh_tridiagonal(tri.diag, tri.offdiag)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise EigenConvergenceError(
+            f"tridiagonal eigensolve of size {tri.size} failed: {exc}"
+        ) from exc
     big = (vectors > _SIGN_FLOOR) | (vectors < -_SIGN_FLOOR)
     lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
     vectors *= np.where(big.any(axis=0) & (lead < 0.0), -1.0, 1.0)

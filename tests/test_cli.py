@@ -120,6 +120,16 @@ class TestSolve:
             assert float(fields[1]) == pytest.approx(f.chi, rel=1e-15)
             assert float(fields[2]) == pytest.approx(lambda_eigenvalue(f), rel=1e-15)
 
+    def test_large_bandwidth_grows_truncation(self, capsys):
+        from ballprolate.pswf import truncation_size
+
+        code, out, _ = run(capsys, "solve", "--dim", "2", "--alpha", "0", "--c", "100",
+                           "--n", "0", "--k-max", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+        assert all(int(r[4]) > truncation_size(2, 0.0, 0, 3) for r in rows)
+
     def test_validation_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", "--dim", "2", "--alpha", "-2", "--c", "1",
                            "--n", "0", "--k-max", "0")

@@ -8,8 +8,7 @@ import pytest
 import scipy.linalg
 
 import ballprolate.pswf as pswf_module
-from ballprolate.errors import NonPositiveLambda, TruncationNotConverged
-from ballprolate.linalg import _eigh_tridiagonal, eig_symtridiag
+from ballprolate.errors import DegenerateEndpoint, NonPositiveLambda, TruncationNotConverged
 from ballprolate.pswf import (
     _apply_sign_rule,
     PswfParams,
@@ -123,30 +122,7 @@ class TestSolve:
             expected = sign_rule_reference(vectors[:, k].copy(), k)
             assert signed[:, k].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("d,alpha,c,n,k_max,k,K", [
-        (2, 0.0, 30.0, 0, 0, 0, 15),
-        (1, 1.0, 60.0, 0, 3, 1, 22),
-        (5, 2.5, 60.0, 2, 3, 3, 25),
-    ])
-    def test_guard_reports_first_unstable_mode(self, d, alpha, c, n, k_max, k, K):
-        message = (rf"chi for \(d={d}, alpha={alpha}, c={c}, n={n}, k={k}\) moved by "
-                   rf"\d\.\d{{3}}e-\d\d relative when doubling K={K}$")
-        with pytest.raises(TruncationNotConverged, match=message):
-            solve_pswfs(d, alpha, c, n, k_max)
-
-    @pytest.mark.parametrize("d,alpha,c,n,k_max", [
-        (2, 0.0, 10.0, 0, 400),
-        (3, 1.0, 25.0, 2, 100),
-        (1, -0.5, 5.0, 1, 40),
-        (5, 0.0, 0.5, 0, 12),
-    ])
-    def test_guard_eigenvalues_match_full_solve(self, d, alpha, c, n, k_max):
-        tri = build_matrix(d, alpha, c, n, 2 * truncation_size(d, alpha, n, k_max))
-        full, _ = eig_symtridiag(tri)
-        guard = _eigh_tridiagonal(tri, eigvals_only=True)
-        np.testing.assert_allclose(guard[:k_max + 1], full[:k_max + 1], rtol=1e-14, atol=0.0)
-
-    def test_guard_requests_no_eigenvectors(self, monkeypatch):
+    def test_certificate_at_floor_takes_one_eigensolve(self, monkeypatch):
         calls = []
         original = scipy.linalg.eigh_tridiagonal
 
@@ -155,8 +131,32 @@ class TestSolve:
             return original(diag, offdiag, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        K = solve_pswfs(3, 1.0, 10.0, 2, 4)[0].truncation
-        assert calls == [(K + 1, False), (2 * K + 1, True)]
+        K = truncation_size(3, 1.0, 2, 4)
+        assert solve_pswfs(3, 1.0, 10.0, 2, 4)[0].truncation == K
+        assert calls == [(K + 1, False)]
+
+    def test_certificate_failure_at_cap_raises(self, monkeypatch):
+        # Negative control: c = 30 needs K > 15, so with growth capped at the
+        # floor the certificate must fail loudly instead of returning.
+        monkeypatch.setattr(pswf_module, "_TRUNCATION_CAP", truncation_size(2, 0.0, 0, 0))
+        message = (r"\(d=2, alpha=0.0, c=30.0, n=0, k_max=0\) failed at the cap K=15: "
+                   r"worst r_k/max\|chi\| = \d\.\d{3}e-\d\d at k=0$")
+        with pytest.raises(TruncationNotConverged, match=message):
+            solve_pswfs(2, 0.0, 30.0, 0, 0)
+
+    @pytest.mark.parametrize("d,alpha,c,n,k_max", [
+        (2, 0.0, 30.0, 0, 0),
+        (1, 1.0, 60.0, 0, 3),
+        (5, 2.5, 60.0, 2, 3),
+        (3, 1.0, 300.0, 2, 30),
+    ])
+    def test_grown_family_carries_certificate(self, d, alpha, c, n, k_max):
+        family = solve_pswfs(d, alpha, c, n, k_max)
+        K = family[0].truncation
+        assert K > truncation_size(d, alpha, n, k_max)
+        coupling = abs(build_matrix(d, alpha, c, n, K + 1).offdiag[K])
+        residual = max(coupling * abs(f.coeffs[K]) for f in family)
+        assert residual <= 1e-15 * max(abs(f.chi) for f in family)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +227,34 @@ class TestLambda:
         broken = RadialPswf(params=params, chi=0.5, coeffs=coeffs, truncation=1)
         with pytest.raises(NonPositiveLambda):
             lambda_eigenvalue(broken)
+
+    def test_vanishing_endpoint_raises(self):
+        params = PswfParams(d=2, alpha=0.0, c=1.0, n=0, k=0)
+        zero = RadialPswf(params=params, chi=0.5, coeffs=np.zeros(3), truncation=2)
+        with pytest.raises(DegenerateEndpoint):
+            lambda_eigenvalue(zero)
+
+
+class TestLargeBandwidth:
+    @pytest.mark.parametrize("k_max", [0, 30])
+    @pytest.mark.parametrize("c", [30.0, 100.0, 500.0])
+    @pytest.mark.parametrize("alpha", [-0.5, 1.0])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_chi_matches_doubled_reference(self, d, alpha, c, k_max):
+        family = solve_pswfs(d, alpha, c, 0, k_max)
+        K = family[0].truncation
+        tri = build_matrix(d, alpha, c, 0, K)
+        norm = np.abs(scipy.linalg.eigvalsh_tridiagonal(tri.diag, tri.offdiag)).max()
+        fine = build_matrix(d, alpha, c, 0, 2 * K)
+        reference = scipy.linalg.eigh_tridiagonal(fine.diag, fine.offdiag, eigvals_only=True)
+        chi = np.array([f.chi for f in family])
+        assert np.abs(chi - reference[:k_max + 1]).max() <= 10 * np.finfo(float).eps * norm
+
+    def test_disk_lambda_reaches_large_bandwidth_limit(self):
+        # For d = 2 the k = 0 eigenvalue tends to 2 pi / c, with an
+        # exponentially small gap that is far below rounding at c = 25.
+        lam = lambda_eigenvalue(solve_pswfs(2, 0.0, 25.0, 0, 0)[0])
+        assert lam == pytest.approx(2.0 * math.pi / 25.0, rel=1e-13)
 
 
 class TestLambdaBitIdentity:
