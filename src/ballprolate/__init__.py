@@ -34,7 +34,6 @@ from .pswf import (
     chi_bounds,
     gamma_coef,
     lambda_eigenvalue,
-    mu_eigenvalue,
     perturbation_coeffs,
     solve_pswfs,
     truncation_size,
@@ -43,18 +42,15 @@ from .specfn import (
     JacobiBasis,
     bessel_j_scaled,
     clenshaw,
-    jacobi_coeffs,
     jacobi_eval,
 )
 from .verify import (
     VerificationReport,
     hankel_residual,
-    lambda_from_hankel_fit,
     mu_rayleigh,
     orthonormality_gram,
     recurrence_residual,
     run_suite,
-    sphere_fourier_residual,
     table_check,
 )
 
@@ -80,12 +76,9 @@ __all__ = [
     "gamma_coef",
     "gauss_jacobi",
     "hankel_residual",
-    "jacobi_coeffs",
     "jacobi_eval",
     "kernel_qc",
     "lambda_eigenvalue",
-    "lambda_from_hankel_fit",
-    "mu_eigenvalue",
     "mu_rayleigh",
     "orthonormality_gram",
     "perturbation_coeffs",
@@ -94,7 +87,6 @@ __all__ = [
     "solve_pswfs",
     "sph_harm_dim",
     "sph_harm_eval",
-    "sphere_fourier_residual",
     "table_check",
     "truncation_size",
     "DegenerateEndpoint",

@@ -230,7 +230,7 @@ def eval_radial(pswf: RadialPswf, r, form: str = "plain"):
         raise ValueError("radius must be non-negative")
     phi = clenshaw(pswf.basis, pswf.coeffs, 2.0 * r_arr * r_arr - 1.0)
     value = r_arr ** power * phi if power else phi
-    return float(value) if np.isscalar(r) or r_arr.ndim == 0 else value
+    return float(value) if r_arr.ndim == 0 else value
 
 
 def eval_psi_ball(pswf: RadialPswf, ell: int, x):
@@ -269,4 +269,4 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
         raise ValueError("separation rho must be non-negative")
     pref = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** alpha * math.gamma(alpha + 1.0)
     value = pref * bessel_j_scaled(d / 2.0 + alpha, c * rho_arr)
-    return float(value) if np.isscalar(rho) or rho_arr.ndim == 0 else value
+    return float(value) if rho_arr.ndim == 0 else value

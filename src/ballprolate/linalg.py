@@ -69,10 +69,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def integrate(self, values) -> float:
-        """Contract sampled integrand values against the weights."""
-        return float(np.asarray(values, dtype=float) @ self.weights)
-
 
 def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric tridiagonal matrix.

@@ -45,7 +45,6 @@ __all__ = [
     "build_matrix",
     "solve_pswfs",
     "lambda_eigenvalue",
-    "mu_eigenvalue",
     "perturbation_coeffs",
     "chi_bounds",
 ]
@@ -250,11 +249,6 @@ def lambda_eigenvalue(pswf: RadialPswf) -> float:
             f"lambda = {lam:.6e} for params {p}; sign convention violated"
         )
     return lam
-
-
-def mu_eigenvalue(lam: float) -> float:
-    """Eigenvalue of the composed (adjoint times forward) Fourier operator."""
-    return lam * lam
 
 
 def perturbation_coeffs(d: int, alpha: float, n: int, k: int) -> tuple[float, float, float]:

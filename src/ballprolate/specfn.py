@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "JacobiBasis",
-    "jacobi_coeffs",
     "jacobi_eval",
     "clenshaw",
     "bessel_j_scaled",
@@ -42,18 +41,6 @@ class JacobiBasis:
             raise ValueError(
                 f"Jacobi exponents must exceed -1, got alpha={self.alpha}, beta={self.beta}"
             )
-
-
-def jacobi_coeffs(basis: JacobiBasis, j: int) -> tuple[float, float, float]:
-    """Recurrence coefficients (a_j, b_j, h_j) of the orthonormalized family.
-
-    a_j and b_j are entry j of _recurrence_arrays; h_j is the norm constant
-    of P~_j, so that P~_0 = 1/h_0.
-    """
-    if j < 0:
-        raise ValueError(f"index j must be non-negative, got {j}")
-    a, b = _recurrence_arrays(basis, j)
-    return float(a[j]), float(b[j]), _norm_const(basis, j)
 
 
 def _norm_const(basis: JacobiBasis, j: int) -> float:

@@ -15,7 +15,8 @@ independently of the solver and measure the mismatch:
                        that never touches the radial transform route.
 
 Suites aggregate cases into a VerificationReport whose JSON form is shared
-with the command-line front end.
+with the command-line front end, the one place that overrides the stated
+tolerances (PROLATE_TOL).
 """
 
 from __future__ import annotations
@@ -38,17 +39,15 @@ from .pswf import (
     perturbation_coeffs,
     solve_pswfs,
 )
-from .specfn import _bessel_j_family, _norm_const, bessel_j_scaled, clenshaw
+from .specfn import _bessel_j_family, _norm_const, clenshaw
 
 __all__ = [
     "CaseResult",
     "VerificationReport",
     "hankel_residual",
-    "lambda_from_hankel_fit",
     "orthonormality_gram",
     "recurrence_residual",
     "mu_rayleigh",
-    "sphere_fourier_residual",
     "table_check",
     "run_suite",
     "SUITE_NAMES",
@@ -62,8 +61,6 @@ BOUNDS_TOL = 0.0
 LAMBDA_DRIFT_TOL = 1e-4
 LAMBDA_LIMIT_TOL = 1e-6
 CHI_SCALING_TOL = 1.0
-
-SUITE_NAMES = ("orthonormality", "hankel", "bounds", "perturbation", "recurrence")
 
 
 @dataclass(frozen=True)
@@ -179,13 +176,6 @@ def hankel_residual(pswf: RadialPswf, lam: float, r_grid=DEFAULT_R_GRID) -> floa
     return float(np.max(np.abs(lhs - lam * rhs_shape)) / scale)
 
 
-def lambda_from_hankel_fit(pswf: RadialPswf, r_grid=DEFAULT_R_GRID) -> float:
-    """Least-squares fit of lambda from the integral route alone."""
-    r = np.asarray(r_grid, dtype=float)
-    lhs, rhs_shape = _hankel_sides(pswf, r)
-    return float((lhs @ rhs_shape) / (rhs_shape @ rhs_shape))
-
-
 def orthonormality_gram(pswfs: list[RadialPswf]) -> float:
     """Max deviation from identity of the quadrature Gram matrix of a family.
 
@@ -252,40 +242,6 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
     return numerator / denominator
 
 
-def sphere_fourier_residual(w: float, n: int, ell: int = 1, theta_xi: float = 0.7,
-                            quadrature_points: int = 512) -> float:
-    """Absolute residual of the circle Fourier identity for harmonics:
-
-        int_{S^1} exp(-i w <xi, x>) Y(x) ds(x) = 2 pi (-i)^n J_n(w) Y(xi),
-
-    with the left side by trapezoid rule (exact for trigonometric
-    polynomials) and J_n from the scaled Bessel evaluation."""
-    theta = 2.0 * math.pi * np.arange(quadrature_points) / quadrature_points
-    if n == 0:
-        y = np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-        y_xi = 1.0 / math.sqrt(2.0 * math.pi)
-    else:
-        trig = np.cos(n * theta) if ell == 1 else np.sin(n * theta)
-        y = trig / math.sqrt(math.pi)
-        y_xi = (math.cos(n * theta_xi) if ell == 1 else math.sin(n * theta_xi)) / math.sqrt(math.pi)
-    lhs = np.sum(np.exp(-1j * w * np.cos(theta - theta_xi)) * y) * 2.0 * math.pi / quadrature_points
-    bess = bessel_j_scaled(float(n), w) * w ** n
-    rhs = 2.0 * math.pi * (-1j) ** n * bess * y_xi
-    return float(abs(lhs - rhs))
-
-
-def _family_cache():
-    cache: dict[tuple, list[RadialPswf]] = {}
-
-    def get(d, alpha, c, n, k_max):
-        key = (d, alpha, c, n, k_max)
-        if key not in cache:
-            cache[key] = solve_pswfs(d, alpha, c, n, k_max)
-        return cache[key]
-
-    return get
-
-
 def _aligned_sign(refs: np.ndarray, vals: np.ndarray) -> float:
     """Overall sign aligning computed values with a reference eigenfunction
     family, whose global sign is an arbitrary convention."""
@@ -308,11 +264,10 @@ def table_check(table_id: int) -> VerificationReport:
     if table_id not in (1, 2, 3, 4):
         raise ValueError(f"table id must be 1..4, got {table_id}")
     report = VerificationReport(suite=f"table{table_id}")
-    solve = _family_cache()
 
     if table_id == 1:
         for c, n, k, chi_ref6, chi_ref, lam_ref6, lam_ref in tables.TABLE1:
-            f = solve(2, 0.0, c, n, k)[k]
+            f = solve_pswfs(2, 0.0, c, n, k)[k]
             chi_shifted = f.chi + 0.75
             lam = lambda_eigenvalue(f)
             comb = c * (math.sqrt(c) * lam / (2.0 * math.pi)) ** 2
@@ -325,7 +280,7 @@ def table_check(table_id: int) -> VerificationReport:
 
     if table_id == 3:
         for c, n, k, chi_ref, lam_ref in tables.TABLE3:
-            f = solve(3, 1.0, c, n, k)[k]
+            f = solve_pswfs(3, 1.0, c, n, k)[k]
             lam = lambda_eigenvalue(f)
             base = {"c": c, "n": n, "k": k}
             report.add({**base, "column": "chi"}, _rel(f.chi, chi_ref), 1e-10)
@@ -341,7 +296,7 @@ def table_check(table_id: int) -> VerificationReport:
         for row in rows:
             groups.setdefault((row[2], row[3], row[1]), []).append(row)
         for (n, k, c), members in groups.items():
-            f = solve(2, 0.0, c, n, k)[k]
+            f = solve_pswfs(2, 0.0, c, n, k)[k]
             rs = np.array([m[0] for m in members])
             refs = np.array([m[4] for m in members])
             vals = rs ** (n + 0.5) * clenshaw(f.basis, f.coeffs, 2.0 * rs * rs - 1.0)
@@ -360,7 +315,7 @@ def table_check(table_id: int) -> VerificationReport:
     for (n, k, c), members in groups.items():
         rs = np.array([m[0] for m in members])
         for column, alpha in (("alpha0", 0.0), ("alpha1", 1.0), ("alpha2", 2.0)):
-            f = solve(3, alpha, c, n, k)[k]
+            f = solve_pswfs(3, alpha, c, n, k)[k]
             phi = clenshaw(f.basis, f.coeffs, 2.0 * rs * rs - 1.0)
             # The alpha = 0 column is published in the disk-style r^(n+1/2)
             # presentation; the others are the plain radial factor r^n.
@@ -381,36 +336,34 @@ def _hankel_grid():
                 yield d, alpha, c, n
 
 
-def suite_hankel(tolerance: float | None = None) -> VerificationReport:
+def suite_hankel() -> VerificationReport:
     """Integral-route residuals over the standard parameter grid, k <= 4:
     all 135 modes, down to lambda ~ 1e-13 at c = 1."""
-    tol = HANKEL_TOL if tolerance is None else tolerance
     report = VerificationReport(suite="hankel")
     for d, alpha, c, n in _hankel_grid():
         for f in solve_pswfs(d, alpha, c, n, 4):
             report.add(
                 {"d": d, "alpha": alpha, "c": c, "n": n, "k": f.params.k},
                 hankel_residual(f, lambda_eigenvalue(f)),
-                tol,
+                HANKEL_TOL,
             )
     return report
 
 
-def suite_orthonormality(tolerance: float | None = None) -> VerificationReport:
+def suite_orthonormality() -> VerificationReport:
     """Gram deviation of the disk family alpha=0, c=10, n <= 3, k <= 10."""
-    tol = ORTHONORMALITY_TOL if tolerance is None else tolerance
     report = VerificationReport(suite="orthonormality")
     for n in range(4):
         family = solve_pswfs(2, 0.0, 10.0, n, 10)
         report.add(
             {"d": 2, "alpha": 0.0, "c": 10.0, "n": n, "k_max": 10},
             orthonormality_gram(family),
-            tol,
+            ORTHONORMALITY_TOL,
         )
     return report
 
 
-def suite_bounds(tolerance: float | None = None) -> VerificationReport:
+def suite_bounds() -> VerificationReport:
     """Strict eigenvalue enclosure and monotone ordering on the standard grid
     extended by d in {1, 5}.
 
@@ -421,7 +374,6 @@ def suite_bounds(tolerance: float | None = None) -> VerificationReport:
     independent routes agree that e.g. alpha = -1/2, c = 10, d = 2 has
     lambda_1 > lambda_0), while positivity holds throughout.
     """
-    tol = BOUNDS_TOL if tolerance is None else tolerance
     report = VerificationReport(suite="bounds")
     combos = list(_hankel_grid()) + [
         (1, 0.0, c, n) for c in (1.0, 5.0, 10.0) for n in (0, 1)
@@ -439,19 +391,19 @@ def suite_bounds(tolerance: float | None = None) -> VerificationReport:
         for f in family:
             lower, upper = chi_bounds(f.params)
             margin = max(margin, (lower - f.chi) / c ** 2, (f.chi - upper) / c ** 2)
-        report.add({**base, "check": "enclosure"}, margin, tol)
+        report.add({**base, "check": "enclosure"}, margin, BOUNDS_TOL)
         chis = np.array([f.chi for f in family])
         lams = np.array([lambda_eigenvalue(f) for f in family])
         chi_margin = float(np.max(chis[:-1] - chis[1:]) / np.max(np.abs(chis)))
-        report.add({**base, "check": "chi_increasing"}, chi_margin, tol)
+        report.add({**base, "check": "chi_increasing"}, chi_margin, BOUNDS_TOL)
         if alpha >= 0.0:
             lam_margin = float(np.max((lams[1:] - lams[:-1]) / lams[:-1]))
-            report.add({**base, "check": "lambda_decreasing"}, lam_margin, tol)
-        report.add({**base, "check": "lambda_positive"}, float(np.max(-lams)), tol)
+            report.add({**base, "check": "lambda_decreasing"}, lam_margin, BOUNDS_TOL)
+        report.add({**base, "check": "lambda_positive"}, float(np.max(-lams)), BOUNDS_TOL)
     return report
 
 
-def suite_perturbation(tolerance: float | None = None) -> VerificationReport:
+def suite_perturbation() -> VerificationReport:
     """Small-bandwidth asymptotics of chi and lambda.
 
     The residual chi(c) - gamma - d_k1 c^2 must scale like c^4 within a
@@ -472,16 +424,14 @@ def suite_perturbation(tolerance: float | None = None) -> VerificationReport:
 
         ratio = excess(1e-2) / excess(1e-1)
         scaling_metric = max(ratio / 2e-4, 0.5e-4 / ratio)
-        report.add({**base, "check": "chi_c4_scaling"},
-                   scaling_metric, CHI_SCALING_TOL if tolerance is None else tolerance)
+        report.add({**base, "check": "chi_c4_scaling"}, scaling_metric, CHI_SCALING_TOL)
 
         def reduced_lambda(c):
             f = solve_pswfs(d, alpha, c, n, k)[k]
             return lambda_eigenvalue(f) / c ** (n + 2 * k)
 
         drift = abs(reduced_lambda(1e-2) / reduced_lambda(1e-3) - 1.0)
-        report.add({**base, "check": "lambda_drift"},
-                   drift, LAMBDA_DRIFT_TOL if tolerance is None else tolerance)
+        report.add({**base, "check": "lambda_drift"}, drift, LAMBDA_DRIFT_TOL)
 
         if k == 0:
             limit = math.exp(
@@ -491,14 +441,12 @@ def suite_perturbation(tolerance: float | None = None) -> VerificationReport:
                 - math.lgamma(alpha + n + d / 2.0 + 1.0)
             )
             err = abs(reduced_lambda(1e-4) / limit - 1.0)
-            report.add({**base, "check": "lambda_limit"},
-                       err, LAMBDA_LIMIT_TOL if tolerance is None else tolerance)
+            report.add({**base, "check": "lambda_limit"}, err, LAMBDA_LIMIT_TOL)
     return report
 
 
-def suite_recurrence(tolerance: float | None = None) -> VerificationReport:
+def suite_recurrence() -> VerificationReport:
     """Coefficient-recurrence residuals on a parameter sample, including c=0."""
-    tol = RECURRENCE_TOL if tolerance is None else tolerance
     report = VerificationReport(suite="recurrence")
     combos = [
         (2, 0.0, 1.0, 0),
@@ -512,7 +460,7 @@ def suite_recurrence(tolerance: float | None = None) -> VerificationReport:
             report.add(
                 {"d": d, "alpha": alpha, "c": c, "n": n, "k": f.params.k},
                 recurrence_residual(f),
-                tol,
+                RECURRENCE_TOL,
             )
     return report
 
@@ -526,14 +474,17 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, tolerance: float | None = None) -> VerificationReport:
-    """Run one named suite, or all of them merged, with an optional uniform
-    tolerance override."""
+SUITE_NAMES = tuple(_SUITES)
+
+
+def run_suite(name: str) -> VerificationReport:
+    """Run one named suite, or all of them merged in SUITE_NAMES order, each
+    case at its suite's own tolerance."""
     if name == "all":
         merged = VerificationReport(suite="all")
         for suite in SUITE_NAMES:
-            merged.cases.extend(_SUITES[suite](tolerance).cases)
+            merged.cases.extend(_SUITES[suite]().cases)
         return merged
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return _SUITES[name](tolerance)
+    return _SUITES[name]()

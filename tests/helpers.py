@@ -22,6 +22,19 @@ from ballprolate.specfn import (
     bessel_j_scaled,
     jacobi_eval,
 )
+from ballprolate.verify import DEFAULT_R_GRID, _hankel_sides
+
+
+def jacobi_coeffs(basis, j):
+    """Recurrence coefficients (a_j, b_j, h_j) of the orthonormalized family.
+
+    a_j and b_j are entry j of _recurrence_arrays; h_j is the norm constant
+    of P~_j, so that P~_0 = 1/h_0.
+    """
+    if j < 0:
+        raise ValueError(f"index j must be non-negative, got {j}")
+    a, b = _recurrence_arrays(basis, j)
+    return float(a[j]), float(b[j]), _norm_const(basis, j)
 
 
 def jacobi_ab_reference(alpha, beta, j):
@@ -217,3 +230,31 @@ def ball_gram(d, alpha, degree_max, radial_nodes=20):
               for ell in range(1, sph_harm_dim(d, n) + 1)]
     values = np.array([ball_poly_eval(d, alpha, n, k, ell, points) for n, k, ell in labels])
     return (values * weights) @ values.T
+
+
+def lambda_from_hankel_fit(pswf, r_grid=DEFAULT_R_GRID):
+    """Least-squares fit of lambda from the integral route alone."""
+    r = np.asarray(r_grid, dtype=float)
+    lhs, rhs_shape = _hankel_sides(pswf, r)
+    return float((lhs @ rhs_shape) / (rhs_shape @ rhs_shape))
+
+
+def sphere_fourier_residual(w, n, ell=1, theta_xi=0.7, quadrature_points=512):
+    """Absolute residual of the circle Fourier identity for harmonics:
+
+        int_{S^1} exp(-i w <xi, x>) Y(x) ds(x) = 2 pi (-i)^n J_n(w) Y(xi),
+
+    with the left side by trapezoid rule (exact for trigonometric
+    polynomials) and J_n from the scaled Bessel evaluation."""
+    theta = 2.0 * math.pi * np.arange(quadrature_points) / quadrature_points
+    if n == 0:
+        y = np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
+        y_xi = 1.0 / math.sqrt(2.0 * math.pi)
+    else:
+        trig = np.cos(n * theta) if ell == 1 else np.sin(n * theta)
+        y = trig / math.sqrt(math.pi)
+        y_xi = (math.cos(n * theta_xi) if ell == 1 else math.sin(n * theta_xi)) / math.sqrt(math.pi)
+    lhs = np.sum(np.exp(-1j * w * np.cos(theta - theta_xi)) * y) * 2.0 * math.pi / quadrature_points
+    bess = bessel_j_scaled(float(n), w) * w ** n
+    rhs = 2.0 * math.pi * (-1j) ** n * bess * y_xi
+    return float(abs(lhs - rhs))

@@ -31,15 +31,20 @@ from ballprolate.pswf import (
     perturbation_coeffs,
     solve_pswfs,
 )
-from ballprolate.specfn import JacobiBasis, bessel_j_scaled, jacobi_coeffs, jacobi_eval
+from ballprolate.specfn import JacobiBasis, bessel_j_scaled, jacobi_eval
 from ballprolate.verify import (
     hankel_residual,
     orthonormality_gram,
     recurrence_residual,
-    sphere_fourier_residual,
     table_check,
 )
-from helpers import ball_gram, closed_form_moment, sphere_gram
+from helpers import (
+    ball_gram,
+    closed_form_moment,
+    jacobi_coeffs,
+    sphere_fourier_residual,
+    sphere_gram,
+)
 
 CRITERION4_GRID = [
     (d, alpha, c, n)

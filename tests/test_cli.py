@@ -238,6 +238,21 @@ class TestTableAndVerify:
         code, _, _ = run(capsys, "table", "--id", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("table", "--id", "1"),
+                                      ("verify", "--suite", "recurrence")])
+    def test_override_replaces_only_tolerances(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("PROLATE_TOL", raising=False)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        plain = json.loads(out)["cases"]
+        monkeypatch.setenv("PROLATE_TOL", "1e6")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        loose = json.loads(out)["cases"]
+        assert [(c["params"], c["metric"]) for c in loose] == \
+            [(c["params"], c["metric"]) for c in plain]
+        assert all(c["tolerance"] == 1e6 and c["pass"] for c in loose)
+
 
 class TestQuad:
     def test_two_point_legendre(self, capsys):

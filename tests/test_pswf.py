@@ -17,16 +17,16 @@ from ballprolate.pswf import (
     chi_bounds,
     gamma_coef,
     lambda_eigenvalue,
-    mu_eigenvalue,
     perturbation_coeffs,
     solve_pswfs,
     truncation_size,
 )
-from ballprolate.specfn import JacobiBasis, jacobi_coeffs
+from ballprolate.specfn import JacobiBasis
 from helpers import (
     BIT_IDENTITY_GRID,
     bit_identity_families,
     clenshaw_reference,
+    jacobi_coeffs,
     sign_rule_reference,
 )
 
@@ -267,13 +267,9 @@ class TestLambdaBitIdentity:
 
 
 class TestMu:
-    def test_values(self):
-        assert mu_eigenvalue(0.0) == 0.0
-        assert mu_eigenvalue(math.pi) == pytest.approx(math.pi ** 2, rel=1e-15)
-
     def test_table_row(self):
         f = solve_pswfs(3, 1.0, 0.1, 0, 0)[0]
-        mu = mu_eigenvalue(lambda_eigenvalue(f))
+        mu = lambda_eigenvalue(f) ** 2
         assert mu == pytest.approx(1.675003294483135 ** 2, rel=1e-12)
 
 

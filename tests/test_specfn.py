@@ -14,7 +14,6 @@ from ballprolate.specfn import (
     _recurrence_arrays,
     bessel_j_scaled,
     clenshaw,
-    jacobi_coeffs,
     jacobi_eval,
 )
 from ballprolate.linalg import gauss_jacobi
@@ -24,6 +23,7 @@ from helpers import (
     bit_identity_families,
     clenshaw_reference,
     jacobi_ab_reference,
+    jacobi_coeffs,
 )
 
 BASES = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.5), (-0.5, 2.0)]
