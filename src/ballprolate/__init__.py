@@ -14,10 +14,8 @@ from .errors import (
     IndexOutOfRange,
     NonPositiveLambda,
     TruncationNotConverged,
-    UnsupportedDimension,
 )
 from .geometry import (
-    SphericalPoint,
     ball_poly_eval,
     eval_phi,
     eval_psi_ball,
@@ -61,7 +59,6 @@ __all__ = [
     "PswfParams",
     "QuadratureRule",
     "RadialPswf",
-    "SphericalPoint",
     "TridiagonalSym",
     "VerificationReport",
     "ball_poly_eval",
@@ -94,5 +91,4 @@ __all__ = [
     "IndexOutOfRange",
     "NonPositiveLambda",
     "TruncationNotConverged",
-    "UnsupportedDimension",
 ]

@@ -19,7 +19,3 @@ class NonPositiveLambda(ArithmeticError):
 
 class IndexOutOfRange(ValueError):
     """Spherical-harmonic index ell lies outside the valid range for (d, n)."""
-
-
-class UnsupportedDimension(ValueError):
-    """The requested operation is not available in this dimension."""

@@ -1,5 +1,5 @@
-"""Spherical harmonics for d in {1, 2, 3}, ball polynomials, full eigenfunction
-evaluation on the ball, and the concentration-operator kernel.
+"""Spherical harmonics and ball polynomials in every dimension d >= 1, full
+eigenfunction evaluation on the ball, and the concentration-operator kernel.
 
 An eigenfunction of angular degree n factorizes in spherical-polar
 coordinates as
@@ -7,23 +7,28 @@ coordinates as
     psi(x) = r^n phi(2 r^2 - 1) Y_ell^n(x/r),        r = |x|,
 
 where phi is the solved radial part (see pswf) and Y_ell^n is a real
-orthonormal spherical harmonic.  Radial quantities are available in every
-dimension; the explicit harmonic bases stop at d = 3.
+orthonormal spherical harmonic on S^(d-1).  Points are Cartesian.  For
+d >= 3 the harmonics follow the Gegenbauer chain of Dai & Xu, Approximation
+Theory and Harmonic Analysis on Spheres and Balls (Springer 2013), ch. 1:
+a unit vector u = (s v, t) with |v| = 1 and s = |(u_1, .., u_(d-1))| gives
+
+    Y_ell^n(u) = 2^-(p+1) P~_(n-m)^(p,p)(t) s^m Y_ell'^m(v),    p = m + (d-3)/2,
+
+where ell runs over the inner degrees m = 0..n in blocks of
+sph_harm_dim(d-1, m) indices ell'.  The circle and S^0 end the recursion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, UnsupportedDimension
+from .errors import IndexOutOfRange
 from .pswf import RadialPswf
 from .specfn import JacobiBasis, bessel_j_scaled, clenshaw, jacobi_eval
 
 __all__ = [
-    "SphericalPoint",
     "sph_harm_dim",
     "sph_harm_eval",
     "ball_poly_eval",
@@ -34,38 +39,6 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-14
-_HARMONIC_DIMS = (1, 2, 3)
-
-
-@dataclass(frozen=True)
-class SphericalPoint:
-    """A point on the unit sphere S^(d-1) in angular form.
-
-    angles is (x,) with x = +-1 for d = 1, (theta,) for d = 2, and
-    (theta, phi) with polar angle theta in [0, pi] for d = 3.
-    """
-
-    d: int
-    angles: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.d not in _HARMONIC_DIMS:
-            raise UnsupportedDimension(f"spherical points support d in {_HARMONIC_DIMS}, got {self.d}")
-        expected = 1 if self.d <= 2 else 2
-        if len(self.angles) != expected:
-            raise ValueError(f"d={self.d} needs {expected} angle(s), got {self.angles}")
-        if self.d == 1 and self.angles[0] not in (-1.0, 1.0):
-            raise ValueError(f"for d=1 the coordinate must be +-1, got {self.angles[0]}")
-
-    @classmethod
-    def from_cartesian(cls, xhat) -> "SphericalPoint":
-        """Build from a Cartesian unit vector (norm within 1e-14 of one)."""
-        v = np.asarray(xhat, dtype=float)
-        if v.size not in _HARMONIC_DIMS:
-            raise UnsupportedDimension(f"spherical points support d in {_HARMONIC_DIMS}, got {v.size}")
-        row = v.reshape(1, -1)
-        _check_unit(row)
-        return cls(v.size, tuple(float(a) for a in _unit_angles(row)[0]))
 
 
 def sph_harm_dim(d: int, n: int) -> int:
@@ -80,10 +53,6 @@ def sph_harm_dim(d: int, n: int) -> int:
 
 
 def _check_harmonic(d: int, n: int, ell: int) -> None:
-    if d not in _HARMONIC_DIMS:
-        raise UnsupportedDimension(f"explicit harmonics exist for d in {_HARMONIC_DIMS}, got {d}")
-    if n < 0:
-        raise ValueError(f"degree n must be non-negative, got {n}")
     if not 1 <= ell <= sph_harm_dim(d, n):
         raise IndexOutOfRange(
             f"ell={ell} outside 1..{sph_harm_dim(d, n)} for (d={d}, n={n})"
@@ -99,75 +68,62 @@ def _point_rows(d: int, x) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(v), v.ndim == 1
 
 
-def _check_unit(rows: np.ndarray) -> None:
-    norm = np.linalg.norm(rows, axis=1)
-    bad = ~(np.abs(norm - 1.0) <= _UNIT_NORM_TOL)
-    if bad.any():
-        raise ValueError(f"|x| = {norm[bad][0]!r} is not a unit vector")
+def _unit_rows(rows: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """rows / norm row by row, with e_1 in place of each zero row."""
+    zero = norm == 0.0
+    unit = rows / np.where(zero, 1.0, norm)[:, None]
+    unit[zero, 0] = 1.0
+    return unit
 
 
-def _unit_angles(u: np.ndarray) -> np.ndarray:
-    """SphericalPoint angles of the directions of the non-zero rows of u,
-    shape (N, 1) for d <= 2 and (N, 2) for d = 3."""
-    u = u / np.linalg.norm(u, axis=1)[:, None]
-    if u.shape[1] == 1:
-        return np.where(u > 0.0, 1.0, -1.0)
-    azimuth = np.arctan2(u[:, 1], u[:, 0])
-    if u.shape[1] == 2:
-        return azimuth[:, None]
-    return np.column_stack([np.arccos(np.clip(u[:, 2], -1.0, 1.0)), azimuth])
-
-
-def _harmonic(d: int, n: int, ell: int, angles: np.ndarray) -> np.ndarray:
-    """Y_ell^n at the rows of an (N, 1) or (N, 2) array of SphericalPoint
-    angles; the arguments are checked by the caller."""
+def _harmonic(d: int, n: int, ell: int, u: np.ndarray) -> np.ndarray:
+    """Y_ell^n at the rows of an (N, d) array of unit vectors; the arguments
+    are checked by the caller."""
     if d == 1:
-        x = angles[:, 0]
-        return (np.ones_like(x) if n == 0 else x) / math.sqrt(2.0)
+        return (np.ones(len(u)) if n == 0 else u[:, 0]) / math.sqrt(2.0)
     if d == 2:
-        theta = angles[:, 0]
         if n == 0:
-            return np.full(theta.shape, 1.0 / math.sqrt(2.0 * math.pi))
-        trig = np.cos(n * theta) if ell == 1 else np.sin(n * theta)
-        return trig / math.sqrt(math.pi)
-    theta, phi = angles.T
-    if ell == 1:
-        return jacobi_eval(JacobiBasis(0.0, 0.0), n, np.cos(theta))[n] / math.sqrt(8.0 * math.pi)
-    m = ell // 2
-    radial = (
-        np.sin(theta) ** m
-        * jacobi_eval(JacobiBasis(float(m), float(m)), n - m, np.cos(theta))[n - m]
-        / (2.0 ** (m + 1) * math.sqrt(math.pi))
-    )
-    return radial * (np.cos(m * phi) if ell % 2 == 0 else np.sin(m * phi))
+            return np.full(len(u), 1.0 / math.sqrt(2.0 * math.pi))
+        theta = np.arctan2(u[:, 1], u[:, 0])
+        return (np.cos(n * theta) if ell == 1 else np.sin(n * theta)) / math.sqrt(math.pi)
+    m = 0
+    while ell > sph_harm_dim(d - 1, m):
+        ell -= sph_harm_dim(d - 1, m)
+        m += 1
+    # At the poles s = 0: s^m vanishes for m >= 1, and for m = 0 the inner
+    # harmonic is constant, so the direction e_1 put in for v is harmless.
+    s = np.linalg.norm(u[:, :-1], axis=1)
+    p = m + (d - 3) / 2.0
+    chain = jacobi_eval(JacobiBasis(p, p), n - m, u[:, -1])[n - m] * s ** m / 2.0 ** (p + 1)
+    return chain * _harmonic(d - 1, m, ell, _unit_rows(u[:, :-1], s))
 
 
 def sph_harm_eval(d: int, n: int, ell: int, point):
-    """Real orthonormal spherical harmonic Y_ell^n on S^(d-1).
+    """Real orthonormal spherical harmonic Y_ell^n on S^(d-1), any d >= 1.
 
-    point is a SphericalPoint or a Cartesian unit vector, giving a float, or
-    an (N, d) array of Cartesian unit vectors, giving an (N,) array.
+    point is a Cartesian unit vector, shape (d,), giving a float, or an
+    (N, d) array of them, giving an (N,) array; each norm must be within
+    1e-14 of one.
 
     d=1: Y_1^0 = 1/sqrt(2), Y_1^1 = x/sqrt(2).
     d=2: Y_1^0 = 1/sqrt(2 pi); Y_1^n = cos(n theta)/sqrt(pi) and
-         Y_2^n = sin(n theta)/sqrt(pi) for n >= 1.
-    d=3: Y_1^n = P~_n^{(0,0)}(cos theta)/sqrt(8 pi) and, for 1 <= m <= n,
-         Y_{2m}^n  = (sin theta)^m P~_{n-m}^{(m,m)}(cos theta) cos(m phi) / (2^{m+1} sqrt(pi)),
+         Y_2^n = sin(n theta)/sqrt(pi) for n >= 1, theta = atan2(x_2, x_1).
+    d>=3: the Gegenbauer chain of the module docstring.  At d=3, with
+         t = x_3 = cos(theta) and s = sin(theta), it reads
+         Y_1^n = P~_n^{(0,0)}(t)/sqrt(8 pi) and, for 1 <= m <= n,
+         Y_{2m}^n  = s^m P~_{n-m}^{(m,m)}(t) cos(m phi) / (2^{m+1} sqrt(pi)),
          Y_{2m+1}^n = same with sin(m phi),
     where P~ are the orthonormalized Jacobi polynomials.  The bases are
     orthonormal with respect to the surface measure (checked by quadrature
     in the test suite).
     """
     _check_harmonic(d, n, ell)
-    if isinstance(point, SphericalPoint):
-        if point.d != d:
-            raise ValueError(f"point has d={point.d}, expected {d}")
-        angles, single = np.array([point.angles]), True
-    else:
-        rows, single = _point_rows(d, point)
-        _check_unit(rows)
-        angles = _unit_angles(rows)
-    value = _harmonic(d, n, ell, angles)
+    rows, single = _point_rows(d, point)
+    norm = np.linalg.norm(rows, axis=1)
+    bad = ~(np.abs(norm - 1.0) <= _UNIT_NORM_TOL)
+    if bad.any():
+        raise ValueError(f"|x| = {norm[bad][0]!r} is not a unit vector")
+    value = _harmonic(d, n, ell, rows / norm[:, None])
     return float(value[0]) if single else value
 
 
@@ -181,18 +137,16 @@ def _ball_eval(d: int, n: int, ell: int, x, radial_part):
     outside = ~(r <= 1.0 + 1e-12)
     if outside.any():
         raise ValueError(f"|x| = {r[outside][0]} lies outside the closed unit ball")
-    origin = r == 0.0
-    directions = rows.copy()
-    directions[origin, 0] = 1.0
-    value = radial_part(r) * _harmonic(d, n, ell, _unit_angles(directions))
+    value = radial_part(r) * _harmonic(d, n, ell, _unit_rows(rows, r))
     if n >= 1:
-        value[origin] = 0.0
+        value[r == 0.0] = 0.0
     return float(value[0]) if single else value
 
 
 def ball_poly_eval(d: int, alpha: float, n: int, k: int, ell: int, x):
     """Orthonormal ball polynomial P~_k^{(alpha, beta_n)}(2|x|^2 - 1) |x|^n
-    Y_ell^n(x/|x|) on the closed unit ball; 0 at x = 0 when n >= 1.
+    Y_ell^n(x/|x|) on the closed unit ball, any d >= 1; 0 at x = 0 when
+    n >= 1.
 
     x is one point, shape (d,), giving a float, or an (N, d) array giving an
     (N,) array.

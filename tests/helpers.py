@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 
 from ballprolate.geometry import (
-    SphericalPoint,
     ball_poly_eval,
     eval_phi,
     eval_radial,
@@ -126,8 +125,6 @@ def closed_form_moment(k, alpha, beta):
 
 
 def _reference_angles(point):
-    if isinstance(point, SphericalPoint):
-        return point.angles
     v = np.asarray(point, dtype=float)
     if v.size == 1:
         return (1.0 if v[0] > 0 else -1.0,)
@@ -148,7 +145,7 @@ def _constant_harmonic(d):
 
 
 def sph_harm_reference(d, n, ell, point):
-    """Y_ell^n at one SphericalPoint or Cartesian unit vector by per-point
+    """Y_ell^n, d <= 3, at one Cartesian unit vector by per-point polar-angle
     math-module formulas, as a reference for the array evaluation."""
     angles = _reference_angles(point)
     if d == 1:
@@ -193,18 +190,17 @@ def eval_psi_ball_reference(pswf, ell, x):
 
 def surface_rule(d, n_theta=40, n_phi=64):
     """Quadrature points, as an (N, d) array of Cartesian unit vectors, and
-    weights over S^(d-1): trapezoid in periodic angles, Gauss-Legendre in
-    cos(theta) for d = 3."""
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    weights over S^(d-1), d >= 2: trapezoid on the circle and, for each
+    further dimension k = 3..d, Gauss-Jacobi in t = u_k against the weight
+    (1 - t^2)^((k-3)/2) of u = (sqrt(1 - t^2) v, t)."""
     if d == 2:
-        points = np.column_stack([np.cos(phis), np.sin(phis)])
-        return points, np.full(n_phi, 2.0 * math.pi / n_phi)
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    sin_theta = np.sqrt(1.0 - x * x)
-    points = np.stack([np.multiply.outer(sin_theta, np.cos(phis)),
-                       np.multiply.outer(sin_theta, np.sin(phis)),
-                       np.multiply.outer(x, np.ones(n_phi))], axis=-1).reshape(-1, 3)
-    return points, np.repeat(w, n_phi) * 2.0 * math.pi / n_phi
+        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        return np.column_stack([np.cos(phis), np.sin(phis)]), np.full(n_phi, 2.0 * math.pi / n_phi)
+    rule = gauss_jacobi((d - 3) / 2.0, (d - 3) / 2.0, n_theta)
+    inner, inner_w = surface_rule(d - 1, n_theta, n_phi)
+    t = np.repeat(rule.nodes, len(inner))
+    points = np.column_stack([np.sqrt(1.0 - t * t)[:, None] * np.tile(inner, (n_theta, 1)), t])
+    return points, np.multiply.outer(rule.weights, inner_w).ravel()
 
 
 def sphere_gram(d, n_max, n_theta=40, n_phi=64):

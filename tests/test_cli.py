@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ballprolate
 from ballprolate.cli import _parse_grid, main
-from ballprolate.geometry import eval_phi, eval_radial
+from ballprolate.geometry import eval_phi, eval_psi_ball, eval_radial
 from ballprolate.linalg import gauss_jacobi
 from ballprolate.pswf import solve_pswfs
 
@@ -192,6 +197,19 @@ class TestEvalBall:
         v_minus = float(lines[2].split(",")[2])
         assert v_minus == pytest.approx(-v_plus, rel=1e-12)
 
+    def test_five_dimensions(self, capsys, tmp_path):
+        points = tmp_path / "pts.txt"
+        rows = np.array([[0.1, -0.2, 0.3, 0.05, -0.4], [0.0, 0.0, 0.0, 0.0, 0.0],
+                         [0.6, 0.0, 0.0, -0.8, 0.0]])
+        points.write_text("".join(" ".join(map(str, row.tolist())) + "\n" for row in rows))
+        code, out, _ = run(capsys, "eval-ball", "--dim", "5", "--alpha", "0", "--c", "2",
+                           "--n", "2", "--k", "0", "--ell", "7", "--points", str(points))
+        assert code == 0
+        f = solve_pswfs(5, 0.0, 2.0, 2, 0)[0]
+        values = eval_psi_ball(f, 7, rows)
+        assert values[0] != 0.0
+        assert out == per_row_csv(["x1", "x2", "x3", "x4", "x5", "value"], [*rows.T, values])
+
     def test_bad_point_file(self, capsys, tmp_path):
         points = tmp_path / "pts.txt"
         points.write_text("0.3\n")
@@ -265,6 +283,16 @@ class TestQuad:
         s = 1.0 / math.sqrt(3.0)
         np.testing.assert_allclose(nodes, [-s, s], rtol=1e-12)
         np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-12)
+
+    def test_python_dash_m(self):
+        src = str(Path(ballprolate.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "ballprolate", "quad", "--alpha", "0",
+                               "--beta", "0", "--m", "2"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        rule = gauss_jacobi(0.0, 0.0, 2)
+        assert done.stdout == per_row_csv(["node", "weight"], [rule.nodes, rule.weights])
 
     def test_negative_value_in_exponent_notation(self, capsys):
         code, out, _ = run(capsys, "quad", "--alpha", "0", "--beta", "-8.1e-05", "--m", "3")

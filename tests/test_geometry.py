@@ -5,10 +5,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer
 
-from ballprolate.errors import IndexOutOfRange, UnsupportedDimension
+from ballprolate.errors import IndexOutOfRange
 from ballprolate.geometry import (
-    SphericalPoint,
     ball_poly_eval,
     eval_phi,
     eval_psi_ball,
@@ -30,6 +30,11 @@ from helpers import (
 )
 
 
+def _polar_point(theta, phi):
+    """The unit vector of S^2 at polar angle theta and azimuth phi."""
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
 class TestSphHarmDim:
     def test_examples(self):
         assert sph_harm_dim(3, 2) == 5
@@ -48,22 +53,22 @@ class TestSphHarmDim:
 
 class TestSphHarmEval:
     def test_three_d_constant(self):
-        value = sph_harm_eval(3, 0, 1, SphericalPoint(3, (0.3, 1.1)))
+        value = sph_harm_eval(3, 0, 1, _polar_point(0.3, 1.1))
         assert value == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
 
     def test_two_d_cosine_peak(self):
-        value = sph_harm_eval(2, 3, 1, SphericalPoint(2, (0.0,)))
+        value = sph_harm_eval(2, 3, 1, (1.0, 0.0))
         assert value == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
     def test_three_d_zonal_oracle(self):
         # Frozen 50-digit value of the zonal degree-2 harmonic at polar
         # angle pi/3.
-        value = sph_harm_eval(3, 2, 1, SphericalPoint(3, (math.pi / 3.0, 0.0)))
+        value = sph_harm_eval(3, 2, 1, _polar_point(math.pi / 3.0, 0.0))
         assert value == pytest.approx(-0.078847891313130001508, rel=1e-13)
 
     def test_one_d(self):
-        assert sph_harm_eval(1, 0, 1, SphericalPoint(1, (1.0,))) == pytest.approx(1 / math.sqrt(2))
-        assert sph_harm_eval(1, 1, 1, SphericalPoint(1, (-1.0,))) == pytest.approx(-1 / math.sqrt(2))
+        assert sph_harm_eval(1, 0, 1, (1.0,)) == pytest.approx(1 / math.sqrt(2))
+        assert sph_harm_eval(1, 1, 1, (-1.0,)) == pytest.approx(-1 / math.sqrt(2))
 
     def test_cartesian_input(self):
         v = np.array([0.6, 0.8])
@@ -71,10 +76,47 @@ class TestSphHarmEval:
         theta = math.atan2(0.8, 0.6)
         assert direct == pytest.approx(math.sin(2 * theta) / math.sqrt(math.pi), rel=1e-14)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_orthonormal_under_surface_measure(self, d):
-        gram = sphere_gram(d, 4)
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+        # 6 Gauss-Jacobi nodes per polar coordinate and 12 on the circle
+        # integrate the products of degree <= 8 exactly.
+        gram = sphere_gram(d, 4, n_theta=6, n_phi=12)
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-13
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("n", range(6))
+    def test_addition_theorem(self, d, n):
+        # sum_ell Y_ell(u) Y_ell(v) = dim / |S^(d-1)| C_n^(d/2-1)(u.v) / C_n^(d/2-1)(1).
+        rng = np.random.default_rng(10 * d + n)
+        u, v = rng.standard_normal((2, 20, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        dim = sph_harm_dim(d, n)
+        total = sum(sph_harm_eval(d, n, ell, u) * sph_harm_eval(d, n, ell, v)
+                    for ell in range(1, dim + 1))
+        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        cosines = np.einsum("ij,ij->i", u, v)
+        zonal = eval_gegenbauer(n, d / 2.0 - 1.0, cosines) / eval_gegenbauer(n, d / 2.0 - 1.0, 1.0)
+        assert np.max(np.abs(total - dim / area * zonal)) <= 1e-13 * dim / area
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_near_pole_against_mpmath(self, n):
+        # 40-digit evaluation of Y_2^n = s P~_(n-1)^(1,1)(t) cos(phi) / (4 sqrt(pi))
+        # at the exact direction u of each double point, where s cos(phi) = u_1
+        # and P~_j^(1,1) = P_j^(1,1) sqrt(2 (2j+3) (j+2) / (j+1)).
+        mp.mp.dps = 40
+        z = np.array([0.99991982712903227, 0.9999999, -0.99999, 0.999999999])
+        phi = np.array([0.4, 2.9, -1.3, 0.0])
+        s = np.sqrt(1.0 - z * z)
+        points = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+        expected = []
+        for point in points:
+            x, y, t = (mp.mpf(float(c)) for c in point)
+            norm = mp.sqrt(x * x + y * y + t * t)
+            x, y, t = x / norm, y / norm, t / norm
+            jacobi = mp.jacobi(n - 1, 1, 1, t) * mp.sqrt(mp.mpf(2 * (2 * n + 1) * (n + 1)) / n)
+            expected.append(float(x * jacobi / (4 * mp.sqrt(mp.pi))))
+        assert _deviation(sph_harm_eval(3, n, 2, points), np.array(expected)) <= 2e-15
 
     def test_orthonormality_negative_control(self):
         gram = sphere_gram(3, 2)
@@ -83,13 +125,14 @@ class TestSphHarmEval:
 
     def test_errors(self):
         with pytest.raises(IndexOutOfRange):
-            sph_harm_eval(2, 1, 3, SphericalPoint(2, (0.0,)))
+            sph_harm_eval(2, 1, 3, (1.0, 0.0))
         with pytest.raises(IndexOutOfRange):
-            sph_harm_eval(1, 2, 1, SphericalPoint(1, (1.0,)))
-        with pytest.raises(UnsupportedDimension):
-            sph_harm_eval(4, 0, 1, (1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            SphericalPoint.from_cartesian([0.5, 0.5])
+            sph_harm_eval(1, 2, 1, (1.0,))
+        # The constant harmonic on S^3 is 1/sqrt(|S^3|) = 1/sqrt(2 pi^2).
+        assert sph_harm_eval(4, 0, 1, (1.0, 0.0, 0.0, 0.0)) == \
+            pytest.approx(1.0 / math.sqrt(2.0 * math.pi ** 2), rel=1e-15)
+        with pytest.raises(ValueError, match="unit vector"):
+            sph_harm_eval(2, 1, 1, (0.5, 0.5))
 
 
 class TestBallPoly:
@@ -167,7 +210,7 @@ class TestEvalRadial:
 
 
 class TestEvalPsiBall:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_parity(self, d, n):
         f = solve_pswfs(d, 0.0, 2.0, n, 1)[1]
@@ -279,7 +322,7 @@ class TestArrayContract:
         assert type(eval_psi_ball(f, 3, points[5])) is float
         assert type(ball_poly_eval(3, 0.0, 2, 1, 3, points[5])) is float
         assert type(sph_harm_eval(3, 2, 3, points[1])) is float
-        assert type(sph_harm_eval(3, 2, 3, SphericalPoint(3, (0.3, 1.1)))) is float
+        assert type(sph_harm_eval(5, 2, 3, np.eye(5)[4])) is float
 
     def test_batch_validation(self):
         f = solve_pswfs(2, 0.0, 2.0, 1, 0)[0]
@@ -297,8 +340,10 @@ class TestArrayContract:
         # ell is checked even when every point is the origin.
         with pytest.raises(IndexOutOfRange):
             eval_psi_ball(f, 3, np.zeros((2, 2)))
-        with pytest.raises(UnsupportedDimension):
-            eval_psi_ball(solve_pswfs(5, 0.0, 2.0, 0, 0)[0], 1, np.zeros((2, 5)))
+        # At d = 5 the origin takes the constant harmonic 1/sqrt(|S^4|) = 1/sqrt(8 pi^2/3).
+        f5 = solve_pswfs(5, 0.0, 2.0, 0, 0)[0]
+        at_origin = eval_phi(f5, -1.0) / math.sqrt(8.0 * math.pi ** 2 / 3.0)
+        assert eval_psi_ball(f5, 1, np.zeros((2, 5))) == pytest.approx([at_origin] * 2, rel=1e-14)
 
     def test_origin_rows(self):
         f0 = solve_pswfs(3, 0.0, 1.0, 0, 1)[1]

@@ -7,9 +7,7 @@ import pytest
 import ballprolate
 
 MODULES = ["ballprolate"] + [
-    f"ballprolate.{info.name}"
-    for info in pkgutil.iter_modules(ballprolate.__path__)
-    if info.name != "__main__"  # running it is the command line itself
+    f"ballprolate.{info.name}" for info in pkgutil.iter_modules(ballprolate.__path__)
 ]
 
 
