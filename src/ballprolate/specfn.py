@@ -16,6 +16,7 @@ that large indices and half-integer parameters do not overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,12 +58,31 @@ def _norm_const(basis: JacobiBasis, j: int) -> float:
     ) / math.sqrt(2.0 * (2 * j + s + 1))
 
 
+# Bound on the cached recurrence pairs.  A family's solve asks for
+# (basis, K + 1), and its lambdas, evaluations and checks ask for the same
+# pair, so a few entries cover the families a caller works on at once.
+_RECURRENCE_CACHE_SIZE = 16
+
+
 def _recurrence_arrays(basis: JacobiBasis, jmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays a_0..a_jmax and b_0..b_jmax, the package's one source of them.
 
     Index 0 holds the reduced forms: the generic a_0 is 0/0 at alpha+beta = -1
     (e.g. alpha = beta = -1/2) and the generic b_0 at alpha+beta = 0.
+
+    The pair is computed once per (basis, jmax) and kept in a bounded LRU
+    cache of _RECURRENCE_CACHE_SIZE entries.  Every caller shares the cached
+    arrays, so both are read-only.  The key also holds the signs of alpha
+    and beta: JacobiBasis(0.0, -0.0) == JacobiBasis(0.0, 0.0), but its b_0
+    is -0.0, and a cache hit must return the bytes a fresh computation would.
     """
+    signs = (math.copysign(1.0, basis.alpha), math.copysign(1.0, basis.beta))
+    return _cached_recurrence(basis, jmax, signs)
+
+
+@functools.lru_cache(maxsize=_RECURRENCE_CACHE_SIZE)
+def _cached_recurrence(basis: JacobiBasis, jmax: int, signs) -> tuple[np.ndarray, np.ndarray]:
+    # signs only splits the cache key; see _recurrence_arrays.
     al, be = basis.alpha, basis.beta
     s = al + be
     j = np.arange(jmax + 1, dtype=float)
@@ -74,6 +94,8 @@ def _recurrence_arrays(basis: JacobiBasis, jmax: int) -> tuple[np.ndarray, np.nd
         )
     b[0] = (be - al) / (s + 2.0)
     a[0] = math.sqrt(4.0 * (al + 1) * (be + 1) / ((s + 2.0) ** 2 * (s + 3.0)))
+    a.setflags(write=False)
+    b.setflags(write=False)
     return a, b
 
 

@@ -235,22 +235,29 @@ def lambda_from_hankel_fit(pswf, r_grid=DEFAULT_R_GRID):
     return float((lhs @ rhs_shape) / (rhs_shape @ rhs_shape))
 
 
-def sphere_fourier_residual(w, n, ell=1, theta_xi=0.7, quadrature_points=512):
-    """Absolute residual of the circle Fourier identity for harmonics:
+def sphere_fourier_residual(w, n, ell=1, d=2, xi=None, y_factor=1.0):
+    """Largest absolute residual of the Funk-Hecke identity for Y = Y_ell^n
+    on S^(d-1), d >= 2:
 
-        int_{S^1} exp(-i w <xi, x>) Y(x) ds(x) = 2 pi (-i)^n J_n(w) Y(xi),
+        int_{S^(d-1)} exp(-i w <xi, x>) Y(x) ds(x)
+            = (2 pi)^(d/2) (-i)^n w^(1-d/2) J_(n+d/2-1)(w) Y(xi),
 
-    with the left side by trapezoid rule (exact for trigonometric
-    polynomials) and J_n from the scaled Bessel evaluation."""
-    theta = 2.0 * math.pi * np.arange(quadrature_points) / quadrature_points
-    if n == 0:
-        y = np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-        y_xi = 1.0 / math.sqrt(2.0 * math.pi)
-    else:
-        trig = np.cos(n * theta) if ell == 1 else np.sin(n * theta)
-        y = trig / math.sqrt(math.pi)
-        y_xi = (math.cos(n * theta_xi) if ell == 1 else math.sin(n * theta_xi)) / math.sqrt(math.pi)
-    lhs = np.sum(np.exp(-1j * w * np.cos(theta - theta_xi)) * y) * 2.0 * math.pi / quadrature_points
-    bess = bessel_j_scaled(float(n), w) * w ** n
-    rhs = 2.0 * math.pi * (-1j) ** n * bess * y_xi
-    return float(abs(lhs - rhs))
+    over every frequency in w (a scalar or 1-d array) and every unit row of
+    xi (one direction or an (M, d) array; by default the angle 0.7 in the
+    first two coordinates).  The left side uses the tensor surface_rule,
+    accurate to rounding for w <= 5, and w^(1-d/2) J_(n+d/2-1)(w) is
+    w^n bessel_j_scaled(n + d/2 - 1, w).  y_factor scales Y inside the
+    integral only, for negative controls."""
+    if xi is None:
+        xi = np.zeros(d)
+        xi[:2] = math.cos(0.7), math.sin(0.7)
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    points, weights = surface_rule(d, n_theta=16, n_phi=32)
+    y = y_factor * sph_harm_eval(d, n, ell, points) * weights
+    phase = np.multiply.outer(w, points @ xi.T)
+    lhs = y @ np.exp(-1j * phase)
+    radial = bessel_j_scaled(n + d / 2.0 - 1.0, w) * w ** n
+    rhs = (2.0 * math.pi) ** (d / 2.0) * (-1j) ** n * np.multiply.outer(
+        radial, sph_harm_eval(d, n, ell, xi))
+    return float(np.max(np.abs(lhs - rhs)))

@@ -26,6 +26,7 @@ from helpers import (
     eval_psi_ball_reference,
     kernel_qc_quadrature,
     sph_harm_reference,
+    sphere_fourier_residual,
     sphere_gram,
 )
 
@@ -133,6 +134,30 @@ class TestSphHarmEval:
             pytest.approx(1.0 / math.sqrt(2.0 * math.pi ** 2), rel=1e-15)
         with pytest.raises(ValueError, match="unit vector"):
             sph_harm_eval(2, 1, 1, (0.5, 0.5))
+
+
+class TestFunkHecke:
+    """Fourier transform of a spherical harmonic over S^(d-1), an integral
+    check of sph_harm_eval and bessel_j_scaled together in every d."""
+
+    @staticmethod
+    def _directions(d):
+        xi = np.random.default_rng(d).standard_normal((2, d))
+        return xi / np.linalg.norm(xi, axis=1)[:, None]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(4))
+    def test_identity(self, d, n):
+        dim = sph_harm_dim(d, n)
+        for ell in sorted({1, (dim + 1) // 2, dim}):
+            residual = sphere_fourier_residual([0.5, 2.5, 5.0], n, ell, d, self._directions(d))
+            assert residual <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_negative_control(self, d):
+        args = ([0.5, 2.5, 5.0], 1, 1, d, self._directions(d))
+        assert sphere_fourier_residual(*args) <= 1e-12
+        assert sphere_fourier_residual(*args, y_factor=1.0 + 1e-6) > 1e-12
 
 
 class TestBallPoly:

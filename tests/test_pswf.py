@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ballprolate.pswf import (
     solve_pswfs,
     truncation_size,
 )
-from ballprolate.specfn import JacobiBasis
+from ballprolate.specfn import JacobiBasis, _cached_recurrence
 from helpers import (
     BIT_IDENTITY_GRID,
     bit_identity_families,
@@ -264,6 +266,33 @@ class TestLambdaBitIdentity:
         fast = [[lambda_eigenvalue(f) for f in family] for family in families]
         monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
         assert fast == [[lambda_eigenvalue(f) for f in family] for family in families]
+
+
+class TestRecurrenceReuse:
+    def test_family_and_its_lambdas_compute_the_recurrence_once(self):
+        _cached_recurrence.cache_clear()
+        family = solve_pswfs(3, 1.0, 10.0, 2, 8)
+        assert family[0].truncation == truncation_size(3, 1.0, 2, 8)
+        for f in family:
+            lambda_eigenvalue(f)
+        assert _cached_recurrence.cache_info().misses == 1
+
+    def test_threaded_lambdas_match_serial(self):
+        # More workers than cores, more families than cache entries and a
+        # short switch interval, so that misses, hits and evictions of the
+        # shared recurrence cache interleave across threads.
+        modes = [f for n in range(20) for f in solve_pswfs(2, 0.0, 10.0, n, 4)]
+        serial = np.array([lambda_eigenvalue(f) for f in modes])
+        _cached_recurrence.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda_eigenvalue, f) for f in modes]
+                threaded = np.array([future.result(timeout=60) for future in futures])
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
 
 
 class TestMu:

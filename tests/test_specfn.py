@@ -11,6 +11,7 @@ from ballprolate.specfn import (
     JacobiBasis,
     _bessel_j_family,
     _bessel_series,
+    _cached_recurrence,
     _recurrence_arrays,
     bessel_j_scaled,
     clenshaw,
@@ -88,6 +89,47 @@ class TestRecurrenceArrays:
     def test_build_matrix_finite_at_removable_singularities(self, d, alpha, n):
         tri = build_matrix(d, alpha, 3.0, n, 40)
         assert np.all(np.isfinite(tri.diag)) and np.all(np.isfinite(tri.offdiag))
+
+
+class TestRecurrenceCache:
+    def test_arrays_are_read_only(self):
+        a, b = _recurrence_arrays(JacobiBasis(0.0, 0.5), 12)
+        for array in (a, b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[3] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+
+    @pytest.mark.parametrize("alpha,beta", PINNED_BASES)
+    def test_cold_and_warm_results_match(self, alpha, beta):
+        basis = JacobiBasis(alpha, beta)
+        _cached_recurrence.cache_clear()
+        cold = [v.tobytes() for v in _recurrence_arrays(basis, 40)]
+        misses = _cached_recurrence.cache_info().misses
+        warm = [v.tobytes() for v in _recurrence_arrays(basis, 40)]
+        assert _cached_recurrence.cache_info().misses == misses
+        assert warm == cold
+
+    @pytest.mark.parametrize("m", [1, 9])
+    def test_signed_zero_exponent_keeps_its_own_entry(self, m):
+        # JacobiBasis(0.0, -0.0) == JacobiBasis(0.0, 0.0), but b_0 is -0.0
+        # for the first, and at m = 1 that is the rule's node.
+        def rule_bytes(beta):
+            rule = gauss_jacobi(0.0, beta, m)
+            return rule.nodes.tobytes(), rule.weights.tobytes()
+
+        cold = {}
+        for beta in (0.0, -0.0):
+            _cached_recurrence.cache_clear()
+            cold[math.copysign(1.0, beta)] = rule_bytes(beta)
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            _cached_recurrence.cache_clear()
+            for beta in order:
+                assert rule_bytes(beta) == cold[math.copysign(1.0, beta)]
+        if m == 1:
+            assert cold[1.0] != cold[-1.0]
+        _, b = _recurrence_arrays(JacobiBasis(0.0, -0.0), m - 1)
+        assert math.copysign(1.0, b[0]) == -1.0
 
 
 class TestJacobiEval:
