@@ -12,7 +12,10 @@ independently of the solver and measure the mismatch:
   * table_check      - regression against bundled published reference values,
   * mu_rayleigh      - Rayleigh quotient of the concentration operator on the
                        disk, matching lambda^2 through a kernel discretization
-                       that never touches the radial transform route.
+                       that never touches the radial transform route: a
+                       gauss_jacobi radial rule, a trapezoid angular rule, and
+                       the kernel evaluated once per distinct separation
+                       (radius pairs i <= j, angles in [0, pi]).
 
 Suites aggregate cases into a VerificationReport whose JSON form is shared
 with the command-line front end, the one place that overrides the stated
@@ -217,24 +220,41 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
 
     Discretizes Q[psi](x) = int K(|x - t|) psi(t) w(t) dt with the kernel of
     kernel_qc, reduces the angular integral of the kernel against cos(n u) by
-    trapezoid (spectrally exact for the periodic factor), and evaluates
-    (Q psi, psi)/(psi, psi) on Gauss-Legendre radial grids.  The result must
-    equal lambda^2; only d = 2 is supported.
+    the angular_nodes-point trapezoid rule on [0, 2 pi) (spectrally exact for
+    the periodic factor), and evaluates (Q psi, psi)/(psi, psi) on the
+    radial_nodes-point Gauss-Legendre rule gauss_jacobi(0, 0, radial_nodes)
+    mapped to [0, 1].  The result must equal lambda^2; only d = 2 is
+    supported.
+
+    The kernel depends only on the separation, which is symmetric in the two
+    radii and even in the angle u about pi.  So it is evaluated, in one
+    kernel_qc call, only for radius pairs i <= j and the floor(A/2) + 1
+    angles in [0, pi], A = angular_nodes; angles strictly inside (0, pi)
+    stand for their mirror image too and count twice.
     """
     if d != 2:
         raise ValueError("the Rayleigh spot check is implemented on the disk only")
+    for name, count in (("radial_nodes", radial_nodes), ("angular_nodes", angular_nodes)):
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     pswf = solve_pswfs(d, alpha, c, n, k)[k]
-    x, w = np.polynomial.legendre.leggauss(radial_nodes)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
+    rule = gauss_jacobi(0.0, 0.0, radial_nodes)
+    t = 0.5 * (rule.nodes + 1.0)
+    wt = 0.5 * rule.weights
     radial = t ** n * clenshaw(pswf.basis, pswf.coeffs, 2.0 * t * t - 1.0)
-    u = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    half = np.arange(angular_nodes // 2 + 1)
+    u = 2.0 * math.pi * half / angular_nodes
     du = 2.0 * math.pi / angular_nodes
-    rr = t[:, None, None]
-    tt = t[None, :, None]
-    rho = np.sqrt(np.maximum(rr * rr + tt * tt - 2.0 * rr * tt * np.cos(u)[None, None, :], 0.0))
+    fold = np.where((half > 0) & (2 * half < angular_nodes), 2.0, 1.0)
+    upper = np.triu_indices(radial_nodes)
+    rr = t[upper[0]][:, None]
+    tt = t[upper[1]][:, None]
+    rho = np.sqrt(np.maximum(rr * rr + tt * tt - 2.0 * rr * tt * np.cos(u), 0.0))
     kern = kernel_qc(d, alpha, c, rho.ravel()).reshape(rho.shape)
-    angular = (kern * np.cos(n * u)[None, None, :]).sum(axis=2) * du
+    pairs = kern @ (fold * np.cos(n * u)) * du
+    angular = np.empty((radial_nodes, radial_nodes))
+    angular[upper] = pairs
+    angular[upper[::-1]] = pairs
     weight = (1.0 - t * t) ** alpha * t * wt
     projected = angular @ (radial * weight)
     numerator = float((radial * weight) @ projected)

@@ -9,6 +9,7 @@ from ballprolate.geometry import (
     ball_poly_eval,
     eval_phi,
     eval_radial,
+    kernel_qc,
     sph_harm_dim,
     sph_harm_eval,
 )
@@ -19,6 +20,7 @@ from ballprolate.specfn import (
     _norm_const,
     _recurrence_arrays,
     bessel_j_scaled,
+    clenshaw,
     jacobi_eval,
 )
 from ballprolate.verify import DEFAULT_R_GRID, _hankel_sides
@@ -111,6 +113,30 @@ def kernel_qc_quadrature(d, alpha, c, rho):
     s = np.sqrt(0.5 * (1.0 + rule.nodes))
     scaled = bessel_j_scaled((d - 2) / 2.0, c * np.multiply.outer(np.asarray(rho, dtype=float), s))
     return (2.0 * math.pi) ** (d / 2.0) * 2.0 ** (-alpha - d / 2.0 - 1.0) * (scaled @ rule.weights)
+
+
+def mu_rayleigh_reference(d, alpha, c, n, k, radial_nodes=48, angular_nodes=128):
+    """Disk Rayleigh quotient (Q psi, psi)/(psi, psi) with the kernel
+    evaluated on the full radial_nodes x radial_nodes x angular_nodes grid
+    of separations and numpy's Gauss-Legendre rule, as a reference for
+    verify.mu_rayleigh, which folds the grid by its symmetries."""
+    pswf = solve_pswfs(d, alpha, c, n, k)[k]
+    x, w = np.polynomial.legendre.leggauss(radial_nodes)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * w
+    radial = t ** n * clenshaw(pswf.basis, pswf.coeffs, 2.0 * t * t - 1.0)
+    u = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    du = 2.0 * math.pi / angular_nodes
+    rr = t[:, None, None]
+    tt = t[None, :, None]
+    rho = np.sqrt(np.maximum(rr * rr + tt * tt - 2.0 * rr * tt * np.cos(u)[None, None, :], 0.0))
+    kern = kernel_qc(d, alpha, c, rho.ravel()).reshape(rho.shape)
+    angular = (kern * np.cos(n * u)[None, None, :]).sum(axis=2) * du
+    weight = (1.0 - t * t) ** alpha * t * wt
+    projected = angular @ (radial * weight)
+    numerator = float((radial * weight) @ projected)
+    denominator = float((radial * radial) @ weight)
+    return numerator / denominator
 
 
 def closed_form_moment(k, alpha, beta):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ballprolate import verify
 from ballprolate.pswf import lambda_eigenvalue, solve_pswfs
 from ballprolate.verify import (
     SUITE_NAMES,
@@ -18,7 +19,7 @@ from ballprolate.verify import (
     run_suite,
     table_check,
 )
-from helpers import lambda_from_hankel_fit, sphere_fourier_residual
+from helpers import lambda_from_hankel_fit, mu_rayleigh_reference, sphere_fourier_residual
 
 
 class TestHankelResidual:
@@ -148,6 +149,76 @@ class TestMuConsistency:
         assert mu0 == pytest.approx(lam0 ** 2, rel=1e-4)
         assert mu1 == pytest.approx(lam1 ** 2, rel=1e-4)
         assert mu1 > mu0
+
+
+# (radial_nodes, angular_nodes) grids on which the folded kernel grid is
+# pinned against the full one: even and odd angle counts, the smallest ones,
+# one radial node and the default.
+SYMMETRY_GRIDS = [(10, 32), (11, 32), (12, 32), (11, 127), (11, 1), (11, 2), (11, 3),
+                  (1, 32), (48, 128)]
+
+
+def _matches_full_grid(mu, mu_ref):
+    # Small mu cancels at about eps/mu in both routes, so below 1e-4 the
+    # routes are compared absolutely.
+    if abs(mu_ref) >= 1e-4:
+        return abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+    return abs(mu - mu_ref) <= 1e-15
+
+
+def _spy_kernel(monkeypatch, angular, pi_factor=1.0):
+    """Make mu_rayleigh call a kernel that records the number of separations
+    of each call and scales the column of its last angle, which is u = pi
+    for an even angular_nodes, by pi_factor."""
+    sizes = []
+    kernel = verify.kernel_qc
+
+    def spy(d, alpha, c, rho):
+        sizes.append(np.size(rho))
+        values = kernel(d, alpha, c, rho).reshape(-1, angular // 2 + 1)
+        values[:, -1] *= pi_factor
+        return values.ravel()
+
+    monkeypatch.setattr(verify, "kernel_qc", spy)
+    return sizes
+
+
+class TestMuSymmetry:
+    @pytest.mark.parametrize("radial,angular", SYMMETRY_GRIDS)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_matches_full_grid(self, radial, angular, alpha):
+        for c in (1.0, 2.3, 3.7, 5.0):
+            for n in range(3):
+                for k in range(2):
+                    mu = mu_rayleigh(2, alpha, c, n, k, radial, angular)
+                    mu_ref = mu_rayleigh_reference(2, alpha, c, n, k, radial, angular)
+                    assert _matches_full_grid(mu, mu_ref), (c, n, k, mu, mu_ref)
+
+    @pytest.mark.parametrize("radial,angular", SYMMETRY_GRIDS)
+    def test_one_kernel_call_per_distinct_separation(self, monkeypatch, radial, angular):
+        sizes = _spy_kernel(monkeypatch, angular)
+        mu_rayleigh(2, 0.0, 2.3, 1, 0, radial, angular)
+        assert sizes == [radial * (radial + 1) // 2 * (angular // 2 + 1)]
+
+    @pytest.mark.parametrize("pi_factor", [0.0, 2.0])
+    @pytest.mark.parametrize("radial,angular", [(11, 2), (11, 32), (48, 128)])
+    def test_pi_term_control(self, monkeypatch, radial, angular, pi_factor):
+        # Dropping or doubling the u = pi term of an even angle count must
+        # break agreement with the full grid.
+        mu_ref = mu_rayleigh_reference(2, 0.0, 2.3, 0, 0, radial, angular)
+        assert _matches_full_grid(mu_rayleigh(2, 0.0, 2.3, 0, 0, radial, angular), mu_ref)
+        _spy_kernel(monkeypatch, angular, pi_factor)
+        assert not _matches_full_grid(mu_rayleigh(2, 0.0, 2.3, 0, 0, radial, angular), mu_ref)
+
+    @pytest.mark.parametrize("bad", [-3, 0, 2.5, "8", None])
+    @pytest.mark.parametrize("name", ["radial_nodes", "angular_nodes"])
+    def test_rejects_bad_node_counts(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            mu_rayleigh(2, 0.0, 2.0, 0, 0, **{name: bad})
+
+    def test_accepts_numpy_integer_counts(self):
+        assert mu_rayleigh(2, 0.0, 2.0, 0, 0, np.int64(11), np.int32(32)) == \
+            mu_rayleigh(2, 0.0, 2.0, 0, 0, 11, 32)
 
 
 class TestSphereFourier:
