@@ -105,7 +105,7 @@ def _parse_points(path: str, d: int) -> np.ndarray:
 
 def cmd_solve(args) -> int:
     family = solve_pswfs(args.dim, args.alpha, args.c, args.n, args.k_max)
-    lambdas = [lambda_eigenvalue(f) if args.c > 0 else None for f in family]
+    lambdas = lambda_eigenvalue(family).tolist() if args.c > 0 else [None] * len(family)
     if args.format == "json":
         payload = {
             "params": {"d": args.dim, "alpha": args.alpha, "c": args.c, "n": args.n},

@@ -10,7 +10,9 @@ class TruncationNotConverged(RuntimeError):
 
 
 class DegenerateEndpoint(ArithmeticError):
-    """The radial eigenfunction underflowed at the left endpoint eta = -1."""
+    """The endpoint formula for lambda broke down: the radial eigenfunction
+    underflowed at eta = -1, or lambda came out above the weight-integral
+    bound pi^(d/2) Gamma(alpha+1)/Gamma(alpha+d/2+1)."""
 
 
 class NonPositiveLambda(ArithmeticError):

@@ -13,8 +13,6 @@ from .specfn import JacobiBasis, _recurrence_arrays
 
 __all__ = ["TridiagonalSym", "QuadratureRule", "eig_symtridiag", "gauss_jacobi"]
 
-_SIGN_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class TridiagonalSym:
@@ -74,9 +72,11 @@ def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric tridiagonal matrix.
 
     Eigenvalues are returned ascending; eigenvectors are the columns of an
-    orthogonal matrix with the deterministic sign convention that the first
-    component of magnitude above 1e-300 is positive.  Convergence failure in
-    the underlying LAPACK routine is reported as EigenConvergenceError.
+    orthogonal matrix, with the signs LAPACK gives them.  Callers that need
+    a sign convention apply their own: solve_pswfs fixes each kept column
+    by its sign rule, and gauss_jacobi squares the first row.  Convergence
+    failure in the underlying LAPACK routine is reported as
+    EigenConvergenceError.
     """
     try:
         values, vectors = scipy.linalg.eigh_tridiagonal(tri.diag, tri.offdiag)
@@ -84,9 +84,6 @@ def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
         raise EigenConvergenceError(
             f"tridiagonal eigensolve of size {tri.size} failed: {exc}"
         ) from exc
-    big = (vectors > _SIGN_FLOOR) | (vectors < -_SIGN_FLOOR)
-    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
-    vectors *= np.where(big.any(axis=0) & (lead < 0.0), -1.0, 1.0)
     return values, vectors
 
 

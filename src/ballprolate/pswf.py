@@ -55,6 +55,9 @@ _CERTIFICATE_RTOL = 1e-15
 _TRUNCATION_CAP = 2048
 _SIGN_PIVOT_FLOOR = 1e-12
 _ENDPOINT_FLOOR = 1e-250
+# Relative slack over the weight-integral bound on lambda: at tiny c the
+# k = 0 lambda tends to the bound itself.
+_BOUND_SLACK = 1e-12
 
 
 def _validate_family(d: int, alpha: float, c: float, n: int) -> None:
@@ -214,9 +217,10 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
     ]
 
 
-def lambda_eigenvalue(pswf: RadialPswf) -> float:
-    """Eigenvalue lambda > 0 of the radial mode under the finite Fourier
-    transform, from the endpoint formula
+def lambda_eigenvalue(modes):
+    """Eigenvalue lambda > 0 under the finite Fourier transform, of one
+    solved radial mode (a float) or of each mode in a sequence from one
+    solved family (an (M,) array), from the endpoint formula
 
         lambda = (-1)^k * pi^(d/2) c^n sqrt(Gamma(alpha+1))
                  / (2^(n-1/2) sqrt(Gamma(n+d/2) Gamma(alpha+n+d/2+1)))
@@ -225,16 +229,34 @@ def lambda_eigenvalue(pswf: RadialPswf) -> float:
     The (-1)^k factor cancels the endpoint sign of the k-th mode under the
     coeffs[k] > 0 convention, so the result is positive for every k; the
     ratio beta_0/phi(-1) makes the value invariant under rescaling of the
-    coefficient vector.  Requires c > 0.
+    coefficient vector.  A sequence is summed in one Clenshaw pass over its
+    coefficient matrix, with the prefactor computed once, so its modes must
+    share (d, alpha, c, n) and the truncation K; one mode is the
+    one-element case.  Requires c > 0.
+
+    |lambda| cannot exceed the weight integral
+    B = int_B (1-|x|^2)^alpha dx = pi^(d/2) Gamma(alpha+1)/Gamma(alpha+d/2+1).
+    The modes are checked in sequence order and the first failing one
+    raises: DegenerateEndpoint when phi(-1) underflowed or lambda exceeds
+    B (1 + 1e-12), NonPositiveLambda when lambda is not positive.
     """
-    p = pswf.params
+    single = isinstance(modes, RadialPswf)
+    family = [modes] if single else list(modes)
+    if not family:
+        raise ValueError("lambda needs at least one mode")
+    first = family[0]
+    p = first.params
+    key = (p.d, p.alpha, p.c, p.n, first.truncation)
+    for f in family[1:]:
+        if (f.params.d, f.params.alpha, f.params.c, f.params.n, f.truncation) != key:
+            raise ValueError(
+                f"modes must come from one solved family: {f.params} with "
+                f"K={f.truncation} differs from {p} with K={first.truncation}"
+            )
     if not p.c > 0.0:
         raise ValueError("lambda is computed for c > 0 only")
-    phi_left = clenshaw(pswf.basis, pswf.coeffs, -1.0)
-    if abs(phi_left) < _ENDPOINT_FLOOR:
-        raise DegenerateEndpoint(
-            f"phi(-1) = {phi_left:.3e} underflowed for params {p}"
-        )
+    coeffs = np.array([f.coeffs for f in family]).T
+    phi_left = clenshaw(first.basis, coeffs, -1.0).tolist()
     log_pref = (
         0.5 * p.d * math.log(math.pi)
         + p.n * math.log(p.c)
@@ -242,13 +264,31 @@ def lambda_eigenvalue(pswf: RadialPswf) -> float:
         - (p.n - 0.5) * math.log(2.0)
         - 0.5 * (math.lgamma(p.n + p.d / 2.0) + math.lgamma(p.alpha + p.n + p.d / 2.0 + 1.0))
     )
-    parity = -1.0 if p.k % 2 else 1.0
-    lam = parity * math.exp(log_pref) * pswf.coeffs[0] / phi_left
-    if not lam > 0.0:
-        raise NonPositiveLambda(
-            f"lambda = {lam:.6e} for params {p}; sign convention violated"
-        )
-    return lam
+    pref = math.exp(log_pref)
+    bound = math.exp(
+        0.5 * p.d * math.log(math.pi)
+        + math.lgamma(p.alpha + 1.0)
+        - math.lgamma(p.alpha + p.d / 2.0 + 1.0)
+    )
+    lams = []
+    for f, beta_0, phi in zip(family, coeffs[0].tolist(), phi_left):
+        if abs(phi) < _ENDPOINT_FLOOR:
+            raise DegenerateEndpoint(
+                f"phi(-1) = {phi:.3e} underflowed for params {f.params}"
+            )
+        parity = -1.0 if f.params.k % 2 else 1.0
+        lam = parity * pref * beta_0 / phi
+        if not lam > 0.0:
+            raise NonPositiveLambda(
+                f"lambda = {lam:.6e} for params {f.params}; sign convention violated"
+            )
+        if lam > bound * (1.0 + _BOUND_SLACK):
+            raise DegenerateEndpoint(
+                f"lambda = {lam:.6e} exceeds the weight-integral bound "
+                f"{bound:.6e} for params {f.params}"
+            )
+        lams.append(lam)
+    return lams[0] if single else np.array(lams)
 
 
 def perturbation_coeffs(d: int, alpha: float, n: int, k: int) -> tuple[float, float, float]:

@@ -361,10 +361,11 @@ def suite_hankel() -> VerificationReport:
     all 135 modes, down to lambda ~ 1e-13 at c = 1."""
     report = VerificationReport(suite="hankel")
     for d, alpha, c, n in _hankel_grid():
-        for f in solve_pswfs(d, alpha, c, n, 4):
+        family = solve_pswfs(d, alpha, c, n, 4)
+        for f, lam in zip(family, lambda_eigenvalue(family).tolist()):
             report.add(
                 {"d": d, "alpha": alpha, "c": c, "n": n, "k": f.params.k},
-                hankel_residual(f, lambda_eigenvalue(f)),
+                hankel_residual(f, lam),
                 HANKEL_TOL,
             )
     return report
@@ -413,7 +414,7 @@ def suite_bounds() -> VerificationReport:
             margin = max(margin, (lower - f.chi) / c ** 2, (f.chi - upper) / c ** 2)
         report.add({**base, "check": "enclosure"}, margin, BOUNDS_TOL)
         chis = np.array([f.chi for f in family])
-        lams = np.array([lambda_eigenvalue(f) for f in family])
+        lams = lambda_eigenvalue(family)
         chi_margin = float(np.max(chis[:-1] - chis[1:]) / np.max(np.abs(chis)))
         report.add({**base, "check": "chi_increasing"}, chi_margin, BOUNDS_TOL)
         if alpha >= 0.0:

@@ -57,8 +57,11 @@ def jacobi_ab_reference(alpha, beta, j):
 
 def clenshaw_reference(basis, coeffs, eta):
     """Clenshaw sum with NumPy operations on eta as an array of any shape,
-    as a reference that the scalar fast path must match bit for bit."""
+    as a reference that the scalar fast path must match bit for bit.  A 2-d
+    coefficient matrix is summed column by column at a scalar eta."""
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 2 and coeffs.size and np.ndim(eta) == 0:
+        return np.array([clenshaw_reference(basis, col, eta) for col in coeffs.T])
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(coeffs)):
@@ -90,6 +93,17 @@ def sign_rule_reference(coeffs, k):
     if coeffs[int(np.argmax(np.abs(coeffs)))] < 0.0:
         return -coeffs
     return coeffs
+
+
+def sign_pass_reference(vectors):
+    """Eigenvector columns with the first entry of magnitude above 1e-300
+    made positive, the sign pass that eig_symtridiag once applied to every
+    column before solve_pswfs fixed the signs it keeps."""
+    vectors = vectors.copy()
+    big = (vectors > 1e-300) | (vectors < -1e-300)
+    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(big.any(axis=0) & (lead < 0.0), -1.0, 1.0)
+    return vectors
 
 
 # (d, alpha, c) of the families on which fast paths are pinned to their

@@ -11,6 +11,7 @@ import scipy.linalg
 
 import ballprolate.pswf as pswf_module
 from ballprolate.errors import DegenerateEndpoint, NonPositiveLambda, TruncationNotConverged
+from ballprolate.linalg import eig_symtridiag
 from ballprolate.pswf import (
     _apply_sign_rule,
     PswfParams,
@@ -29,6 +30,7 @@ from helpers import (
     bit_identity_families,
     clenshaw_reference,
     jacobi_coeffs,
+    sign_pass_reference,
     sign_rule_reference,
 )
 
@@ -82,6 +84,15 @@ class TestBuildMatrix:
         assert tri.diag[1] == pytest.approx(24.0, rel=1e-15)
 
 
+def _eig_with_sign_pass(tri):
+    values, vectors = eig_symtridiag(tri)
+    return values, sign_pass_reference(vectors)
+
+
+def _family_bytes(family):
+    return [(f.chi, f.truncation, f.coeffs.tobytes()) for f in family]
+
+
 class TestSolve:
     def test_disk_ground_state(self):
         f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
@@ -123,6 +134,19 @@ class TestSolve:
         for k in range(5):
             expected = sign_rule_reference(vectors[:, k].copy(), k)
             assert signed[:, k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
+    def test_lapack_signs_match_old_sign_pass(self, d, alpha, c, monkeypatch):
+        # The sign rule decides every kept sign, so solving without the old
+        # first-entry sign pass gives the same bytes.
+        fast = [_family_bytes(family) for family in bit_identity_families(d, alpha, c)]
+        monkeypatch.setattr(pswf_module, "eig_symtridiag", _eig_with_sign_pass)
+        assert fast == [_family_bytes(family) for family in bit_identity_families(d, alpha, c)]
+
+    def test_lapack_signs_match_old_sign_pass_at_large_k_max(self, monkeypatch):
+        fast = _family_bytes(solve_pswfs(2, 0.0, 20.0, 0, 370))
+        monkeypatch.setattr(pswf_module, "eig_symtridiag", _eig_with_sign_pass)
+        assert fast == _family_bytes(solve_pswfs(2, 0.0, 20.0, 0, 370))
 
     def test_certificate_at_floor_takes_one_eigensolve(self, monkeypatch):
         calls = []
@@ -236,6 +260,61 @@ class TestLambda:
         with pytest.raises(DegenerateEndpoint):
             lambda_eigenvalue(zero)
 
+    def test_above_weight_integral_bound_raises(self):
+        # phi(-1) cut to a tenth of beta_0 P~_0(-1) gives lambda = 10 pi,
+        # ten times the disk's bound pi.
+        params = PswfParams(d=2, alpha=0.0, c=1.0, n=0, k=0)
+        a0, b0, _ = jacobi_coeffs(params.basis, 0)
+        coeffs = np.array([1.0, 0.9 * a0 / (1.0 + b0)])
+        over = RadialPswf(params=params, chi=0.5, coeffs=coeffs, truncation=1)
+        with pytest.raises(DegenerateEndpoint, match=r"exceeds the weight-integral bound 3\.141593e\+00"):
+            lambda_eigenvalue(over)
+
+    @pytest.mark.parametrize("d,alpha", [(2, 0.0), (2, 1.0), (3, 0.0), (5, -0.5), (8, 3.0)])
+    def test_bound_slack_admits_tiny_bandwidth(self, d, alpha):
+        # At c -> 0 the k = 0 lambda tends to the bound itself, and at
+        # c = 1e-9 all but the first of these round a few ulps above it.
+        lam = lambda_eigenvalue(solve_pswfs(d, alpha, 1e-9, 0, 0)[0])
+        assert lam == pytest.approx(lambda0_limit(d, alpha, 0), rel=1e-14)
+
+    def test_family_call_returns_array(self):
+        family = solve_pswfs(3, 1.0, 2.0, 1, 4)
+        lams = lambda_eigenvalue(family)
+        assert isinstance(lams, np.ndarray) and lams.shape == (5,)
+        assert isinstance(lambda_eigenvalue(family[0]), float)
+        assert lambda_eigenvalue(family[2:3]).tolist() == [lambda_eigenvalue(family[2])]
+
+    def test_family_call_rejects_mixed_modes(self):
+        family = solve_pswfs(2, 0.0, 5.0, 0, 2)
+        with pytest.raises(ValueError):
+            lambda_eigenvalue([])
+        with pytest.raises(ValueError, match="one solved family"):
+            lambda_eigenvalue([family[0], solve_pswfs(2, 0.0, 5.0, 1, 2)[1]])
+        with pytest.raises(ValueError, match="one solved family"):
+            lambda_eigenvalue([family[0], solve_pswfs(2, 0.0, 6.0, 0, 2)[1]])
+        longer = solve_pswfs(2, 0.0, 5.0, 0, 8)
+        assert longer[0].truncation != family[0].truncation
+        with pytest.raises(ValueError, match="one solved family"):
+            lambda_eigenvalue([family[0], longer[1]])
+
+    def test_family_call_raises_first_failing_mode(self):
+        # beta_0 negated in modes 3 and 5 makes both lambdas negative; the
+        # family call must fail at mode 3, as a per-mode loop would.
+        family = solve_pswfs(2, 0.0, 5.0, 0, 6)
+        broken = list(family)
+        for k in (3, 5):
+            coeffs = family[k].coeffs.copy()
+            coeffs[0] = -coeffs[0]
+            broken[k] = dataclasses.replace(family[k], coeffs=coeffs)
+        with pytest.raises(NonPositiveLambda) as per_mode:
+            lambda_eigenvalue(broken[3])
+        with pytest.raises(NonPositiveLambda):
+            lambda_eigenvalue(broken[5])
+        with pytest.raises(NonPositiveLambda) as whole:
+            lambda_eigenvalue(broken)
+        assert str(whole.value) == str(per_mode.value)
+        assert "k=3" in str(whole.value)
+
 
 class TestLargeBandwidth:
     @pytest.mark.parametrize("k_max", [0, 30])
@@ -267,6 +346,15 @@ class TestLambdaBitIdentity:
         monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
         assert fast == [[lambda_eigenvalue(f) for f in family] for family in families]
 
+    @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
+    def test_family_call_matches_per_mode_calls(self, d, alpha, c, monkeypatch):
+        families = bit_identity_families(d, alpha, c)
+        per_mode = [np.array([lambda_eigenvalue(f) for f in family]).tobytes()
+                    for family in families]
+        assert [lambda_eigenvalue(family).tobytes() for family in families] == per_mode
+        monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
+        assert [lambda_eigenvalue(family).tobytes() for family in families] == per_mode
+
 
 class TestRecurrenceReuse:
     def test_family_and_its_lambdas_compute_the_recurrence_once(self):
@@ -275,6 +363,7 @@ class TestRecurrenceReuse:
         assert family[0].truncation == truncation_size(3, 1.0, 2, 8)
         for f in family:
             lambda_eigenvalue(f)
+        lambda_eigenvalue(family)
         assert _cached_recurrence.cache_info().misses == 1
 
     def test_threaded_lambdas_match_serial(self):
