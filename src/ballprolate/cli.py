@@ -121,7 +121,7 @@ def cmd_solve(args) -> int:
                 for f, lam in zip(family, lambdas)
             ],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload), args.out)
     else:
         rows = [
             [

@@ -67,10 +67,14 @@ def _validate_family(d: int, alpha: float, c: float, n: int) -> None:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if not c >= 0.0:
         raise ValueError(f"bandwidth c must be non-negative, got {c}")
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError(f"angular degree n must be a non-negative integer, got {n}")
+    _validate_count(n, "angular degree n")
     if d == 1 and n > 1:
         raise ValueError(f"for d=1 only n in {{0, 1}} exists, got n={n}")
+
+
+def _validate_count(value, name: str) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,7 @@ class PswfParams:
 
     def __post_init__(self):
         _validate_family(self.d, self.alpha, self.c, self.n)
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
-            raise ValueError(f"radial index k must be a non-negative integer, got {self.k}")
+        _validate_count(self.k, "radial index k")
 
     @property
     def beta_n(self) -> float:
@@ -104,7 +107,11 @@ class RadialPswf:
     """A solved radial eigenfunction: eigenvalue chi and the unit-norm
     expansion coefficients beta_0..beta_K in the (alpha, beta_n) Jacobi
     family, with the sign fixed so that coeffs[k] > 0 (falling back to a
-    positive largest-magnitude coefficient when coeffs[k] is negligible)."""
+    positive largest-magnitude coefficient when coeffs[k] is negligible).
+
+    The modes solve_pswfs returns hold their coeffs as read-only rows of
+    one (k_max+1, K+1) block per family, so keeping one mode keeps its
+    family's whole block alive."""
 
     params: PswfParams
     chi: float
@@ -142,8 +149,11 @@ def truncation_size(d: int, alpha: float, n: int, k_max: int) -> int:
     degrees, i.e. K = ceil((M - n)/2) Jacobi coefficients.
     """
     _validate_family(d, alpha, 0.0, n)
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    _validate_count(k_max, "k_max")
+    return _truncation_size(alpha, n, k_max)
+
+
+def _truncation_size(alpha: float, n: int, k_max: int) -> int:
     bandlimit = n + 2 * k_max
     cutoff = math.ceil(2 * bandlimit + 2 * alpha) + 30
     return math.ceil((cutoff - n) / 2)
@@ -152,23 +162,50 @@ def truncation_size(d: int, alpha: float, n: int, k_max: int) -> int:
 def build_matrix(d: int, alpha: float, c: float, n: int, K: int) -> TridiagonalSym:
     """(K+1) x (K+1) tridiagonal matrix of the radial eigenproblem."""
     _validate_family(d, alpha, c, n)
-    if K < 0:
-        raise ValueError(f"truncation K must be non-negative, got {K}")
+    _validate_count(K, "truncation K")
+    return TridiagonalSym(*_matrix_entries(d, alpha, c, n, K))
+
+
+def _matrix_entries(d: int, alpha: float, c: float, n: int, K: int):
+    """Diagonal and off-diagonal of build_matrix, for a validated family."""
     a, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), K)
     half_c2 = 0.5 * c * c
     diag = gamma_coef(n + 2 * np.arange(K + 1), alpha, d) + (b + 1.0) * half_c2
-    return TridiagonalSym(diag, a[:-1] * half_c2)
+    return diag, a[:-1] * half_c2
 
 
-def _apply_sign_rule(vectors: np.ndarray) -> np.ndarray:
-    """Column k of vectors negated where needed so that its entry k is
-    positive, or, when that entry is below 1e-12 in magnitude, so that its
-    first largest-magnitude entry is positive."""
-    k = np.arange(vectors.shape[1])
-    pivot = vectors[k, k]
-    largest = vectors[np.argmax(np.abs(vectors), axis=0), k]
-    lead = np.where(np.abs(pivot) >= _SIGN_PIVOT_FLOOR, pivot, largest)
-    return vectors * np.where(lead < 0.0, -1.0, 1.0)
+def _apply_sign_rule(vectors: np.ndarray, m: int) -> np.ndarray:
+    """Read-only, C-contiguous (m, K+1) block whose row k is column k of
+    vectors, negated where needed so that its entry k is positive, or, when
+    that entry is below 1e-12 in magnitude, so that its first
+    largest-magnitude entry is positive.  Only the columns with such a
+    negligible pivot are searched for their largest entry."""
+    k = np.arange(m)
+    lead = vectors[k, k]
+    small = np.flatnonzero(np.abs(lead) < _SIGN_PIVOT_FLOOR)
+    lead[small] = vectors[np.argmax(np.abs(vectors[:, small]), axis=0), small]
+    sign = np.where(lead < 0.0, -1.0, 1.0)
+    rows = np.multiply(vectors[:, :m].T, sign[:, None], order="C")
+    rows.setflags(write=False)
+    return rows
+
+
+def _solved_modes(
+    d: int, alpha: float, c: float, n: int, K: int, values: np.ndarray, rows: np.ndarray
+) -> list[RadialPswf]:
+    """RadialPswf records of one solved family, built without re-running
+    the public constructors' per-mode checks, which hold for the whole
+    family here: solve_pswfs validated (d, alpha, c, n) and k_max, k runs
+    over the integers 0..k_max, and rows is a read-only block whose rows
+    have length K+1.  Mode k's coeffs is row k, a view of the block."""
+    modes = []
+    for k, (chi, coeffs) in enumerate(zip(values.tolist(), rows)):
+        params = object.__new__(PswfParams)
+        params.__dict__.update(d=d, alpha=alpha, c=c, n=n, k=k)
+        mode = object.__new__(RadialPswf)
+        mode.__dict__.update(params=params, chi=chi, coeffs=coeffs, truncation=K)
+        modes.append(mode)
+    return modes
 
 
 def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[RadialPswf]:
@@ -183,17 +220,19 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
     way; a family whose certificate holds at truncation_size takes exactly
     one eigensolve.  TruncationNotConverged means K reached its cap,
     max(truncation_size, 2048), without the certificate holding.
+
+    The family is validated once, and the modes share one read-only
+    coefficient block: mode k's coeffs is its row k.
     """
     _validate_family(d, alpha, c, n)
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
-    K = truncation_size(d, alpha, n, k_max)
+    _validate_count(k_max, "k_max")
+    K = _truncation_size(alpha, n, k_max)
     cap = max(K, _TRUNCATION_CAP)
     while True:
-        tri = build_matrix(d, alpha, c, n, K + 1)
-        values, vectors = eig_symtridiag(TridiagonalSym(tri.diag[:-1], tri.offdiag[:-1]))
-        values, vectors = values[:k_max + 1], vectors[:, :k_max + 1]
-        residual = abs(tri.offdiag[K]) * np.abs(vectors[K])
+        diag, offdiag = _matrix_entries(d, alpha, c, n, K + 1)
+        values, vectors = eig_symtridiag(TridiagonalSym(diag[:-1], offdiag[:-1]))
+        values = values[:k_max + 1]
+        residual = abs(offdiag[K]) * np.abs(vectors[K, :k_max + 1])
         scale = np.abs(values).max()
         if residual.max() <= _CERTIFICATE_RTOL * scale:
             break
@@ -205,16 +244,8 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
                 f"{residual[k] / scale:.3e} at k={k}"
             )
         K = min(cap, max(math.ceil(1.25 * K), math.ceil(c / 2) + k_max + 20))
-    coeffs = _apply_sign_rule(vectors)
-    return [
-        RadialPswf(
-            params=PswfParams(d=d, alpha=alpha, c=c, n=n, k=k),
-            chi=float(values[k]),
-            coeffs=coeffs[:, k].copy(),
-            truncation=K,
-        )
-        for k in range(k_max + 1)
-    ]
+    rows = _apply_sign_rule(vectors, k_max + 1)
+    return _solved_modes(d, alpha, c, n, K, values, rows)
 
 
 def lambda_eigenvalue(modes):

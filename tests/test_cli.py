@@ -113,6 +113,27 @@ class TestSolve:
         assert result["mu"] == pytest.approx(1.675003294483135 ** 2, rel=1e-12)
         assert len(result["coeffs"]) == result["K"] + 1
 
+    @pytest.mark.parametrize("c", ["20", "0"])
+    def test_json_is_compact_and_parses_like_indented(self, capsys, c):
+        from ballprolate.pswf import lambda_eigenvalue
+
+        code, out, _ = run(capsys, "solve", "--dim", "3", "--alpha", "1", "--c", c,
+                           "--n", "2", "--k-max", "12", "--format", "json")
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("}\n")
+        family = solve_pswfs(3, 1.0, float(c), 2, 12)
+        lambdas = lambda_eigenvalue(family).tolist() if float(c) > 0 else [None] * 13
+        indented = json.dumps({
+            "params": {"d": 3, "alpha": 1.0, "c": float(c), "n": 2},
+            "results": [
+                {"k": f.params.k, "chi": f.chi, "lambda": lam,
+                 "mu": lam * lam if lam is not None else None,
+                 "K": f.truncation, "coeffs": f.coeffs.tolist()}
+                for f, lam in zip(family, lambdas)
+            ],
+        }, indent=2)
+        assert json.loads(out) == json.loads(indented)
+
     def test_csv_reparse_reproduces_values(self, capsys):
         from ballprolate.pswf import lambda_eigenvalue, solve_pswfs
 

@@ -1,7 +1,9 @@
 """Tests for the radial eigensolver and its eigenvalue formulas."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -65,6 +67,10 @@ class TestTruncationSize:
             truncation_size(2, 0.0, 0, -1)
         with pytest.raises(ValueError):
             truncation_size(1, 0.0, 2, 0)
+        for k_max in (2.5, 2.0):
+            with pytest.raises(ValueError, match="k_max must be a non-negative integer"):
+                truncation_size(2, 0.0, 0, k_max)
+        assert truncation_size(2, 0.5, 0, np.int64(2)) == 20
 
 
 class TestBuildMatrix:
@@ -82,6 +88,12 @@ class TestBuildMatrix:
     def test_ball_diagonal_entry(self):
         tri = build_matrix(3, 1.0, 0.0, 1, 3)
         assert tri.diag[1] == pytest.approx(24.0, rel=1e-15)
+
+    def test_validation(self):
+        for K in (3.5, 3.0, -1):
+            with pytest.raises(ValueError, match="truncation K must be a non-negative integer"):
+                build_matrix(2, 0.0, 1.0, 0, K)
+        assert build_matrix(2, 0.0, 1.0, 0, np.int64(3)).size == 4
 
 
 def _eig_with_sign_pass(tri):
@@ -123,17 +135,43 @@ class TestSolve:
         doubled, _ = eig_symtridiag(build_matrix(3, 1.0, 10.0, 2, 2 * K))
         assert abs(f.chi - doubled[4]) <= 1e-13 * abs(doubled[4])
 
-    def test_sign_rule_matches_per_column_reference(self):
-        vectors = np.random.default_rng(3).standard_normal((6, 5))
+    @staticmethod
+    def _mixed_pivots():
+        vectors = np.random.default_rng(3).standard_normal((7, 7))
         vectors[1, 1] = -0.5
         # |pivot| < 1e-12: the first of the two largest magnitudes decides.
-        vectors[:, 2] = [0.3, -0.9, 1e-13, 0.9, 0.1, 0.0]
-        vectors[:, 3] = [0.2, 0.1, -0.3, 0.0, 0.5, -0.4]
-        vectors[:, 4] = [0.7, -0.8, 0.2, 0.1, -1e-13, 0.0]
-        signed = _apply_sign_rule(vectors)
-        for k in range(5):
-            expected = sign_rule_reference(vectors[:, k].copy(), k)
-            assert signed[:, k].tobytes() == expected.tobytes()
+        vectors[:, 2] = [0.3, -0.9, 1e-13, 0.9, 0.1, 0.0, 0.2]
+        vectors[:, 3] = [0.2, 0.1, -0.3, 0.0, 0.5, -0.4, 0.1]
+        vectors[:, 4] = [0.7, -0.8, 0.2, 0.1, -1e-13, 0.0, -0.3]
+        # A NaN pivot leaves its column's sign as it is.
+        vectors[:, 5] = [0.1, -0.6, 0.2, 0.3, 0.0, np.nan, -0.7]
+        return vectors
+
+    @staticmethod
+    def _tiny_pivots():
+        vectors = np.random.default_rng(4).standard_normal((7, 7))
+        np.fill_diagonal(vectors, [1e-13, -1e-13, 0.0, -0.0, 9.9e-13, -5e-14, 1e-300])
+        return vectors
+
+    @staticmethod
+    def _large_pivots():
+        vectors = np.random.default_rng(5).standard_normal((7, 7))
+        np.fill_diagonal(vectors, [0.5, -0.5, 1e-12, -1e-12, 2.0, -0.1, 3e-3])
+        return vectors
+
+    def test_sign_rule_matches_per_column_reference(self):
+        # Mixed pivots, then every kept pivot below 1e-12, then none below,
+        # so both sides of the largest-entry fallback run.
+        for build in (self._mixed_pivots, self._tiny_pivots, self._large_pivots):
+            for order in ("C", "F"):
+                vectors = np.asarray(build(), order=order)
+                m = vectors.shape[1] - 1
+                rows = _apply_sign_rule(vectors, m)
+                assert rows.shape == (m, vectors.shape[0])
+                assert rows.flags.c_contiguous and not rows.flags.writeable
+                for k in range(m):
+                    expected = sign_rule_reference(vectors[:, k].copy(), k)
+                    assert rows[k].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
     def test_lapack_signs_match_old_sign_pass(self, d, alpha, c, monkeypatch):
@@ -193,6 +231,77 @@ class TestSolve:
             solve_pswfs(2, 0.0, -1.0, 0, 0)
         with pytest.raises(ValueError):
             solve_pswfs(1, 0.0, 1.0, 2, 0)
+        for k_max in (2.5, 2.0, -1):
+            with pytest.raises(ValueError, match="k_max must be a non-negative integer"):
+                solve_pswfs(2, 0.0, 1.0, 0, k_max)
+        assert len(solve_pswfs(2, 0.0, 1.0, 0, np.int64(2))) == 3
+
+
+class TestSolvedRecords:
+    FAMILY = (3, 1.0, 20.0, 2, 30)
+
+    def test_family_is_validated_once(self, monkeypatch):
+        calls = []
+        original = pswf_module._validate_family
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pswf_module, "_validate_family", spy)
+        solve_pswfs(*self.FAMILY)
+        assert calls == [self.FAMILY[:4]]
+
+    def test_modes_match_public_constructors(self):
+        d, alpha, c, n, k_max = self.FAMILY
+        family = solve_pswfs(d, alpha, c, n, k_max)
+        K = family[0].truncation
+        # The per-mode path: one public construction per eigenvector column.
+        values, vectors = eig_symtridiag(build_matrix(d, alpha, c, n, K))
+        assert len(family) == k_max + 1
+        for k, f in enumerate(family):
+            ref = RadialPswf(
+                params=PswfParams(d=d, alpha=alpha, c=c, n=n, k=k),
+                chi=float(values[k]),
+                coeffs=sign_rule_reference(vectors[:, k].copy(), k),
+                truncation=K,
+            )
+            assert type(f) is RadialPswf and type(f.params) is PswfParams
+            assert f.params == ref.params and hash(f.params) == hash(ref.params)
+            assert repr(f.params) == repr(ref.params)
+            assert type(f.chi) is float and f.chi == ref.chi
+            assert type(f.truncation) is int and f.truncation == ref.truncation
+            assert f.coeffs.shape == (K + 1,) and f.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    def test_modes_are_rows_of_one_read_only_block(self):
+        family = solve_pswfs(*self.FAMILY)
+        block = family[0].coeffs.base
+        assert block.shape == (len(family), family[0].truncation + 1)
+        assert block.flags.c_contiguous and not block.flags.writeable
+        for k, f in enumerate(family):
+            assert f.coeffs.base is block and np.shares_memory(f.coeffs, block[k])
+            with pytest.raises(ValueError):
+                f.coeffs[0] = 2.0
+
+    def test_replace_goes_through_public_checks(self):
+        f = solve_pswfs(*self.FAMILY)[3]
+        with pytest.raises(ValueError):
+            dataclasses.replace(f, coeffs=np.ones(3))
+        with pytest.raises(ValueError):
+            dataclasses.replace(f.params, k=-1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.chi = 0.0
+        assert dataclasses.replace(f.params, k=4) == PswfParams(3, 1.0, 20.0, 2, 4)
+
+    @pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_copy_and_pickle_round_trip(self, roundtrip):
+        f = solve_pswfs(*self.FAMILY)[7]
+        g = roundtrip(f)
+        assert g is not f and g.params == f.params and hash(g.params) == hash(f.params)
+        assert g.chi == f.chi and g.truncation == f.truncation
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()
+        # A pickled mode carries its own row, not its family's block.
+        assert len(pickle.dumps(f)) < 2 * f.coeffs.nbytes + 1024
 
 
 class TestLambda:
