@@ -109,9 +109,13 @@ class RadialPswf:
     family, with the sign fixed so that coeffs[k] > 0 (falling back to a
     positive largest-magnitude coefficient when coeffs[k] is negligible).
 
-    The modes solve_pswfs returns hold their coeffs as read-only rows of
-    one (k_max+1, K+1) block per family, so keeping one mode keeps its
-    family's whole block alive."""
+    The constructor keeps a read-only copy of coeffs, so a mode never
+    shares its coefficients with an array the caller can still write.  The
+    modes solve_pswfs returns instead hold their coeffs as read-only rows
+    of one (k_max+1, K+1) block per family, mode k in row k, so keeping one
+    mode keeps its family's whole block alive.  Copies and pickles are
+    rebuilt through the constructor, so they are checked and read-only
+    too."""
 
     params: PswfParams
     chi: float
@@ -119,7 +123,7 @@ class RadialPswf:
     truncation: int
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.shape != (self.truncation + 1,):
             raise ValueError(
                 f"coefficient vector must have length K+1={self.truncation + 1}, "
@@ -127,6 +131,9 @@ class RadialPswf:
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __reduce__(self):
+        return RadialPswf, (self.params, self.chi, self.coeffs, self.truncation)
 
     @property
     def basis(self) -> JacobiBasis:
@@ -286,7 +293,14 @@ def lambda_eigenvalue(modes):
             )
     if not p.c > 0.0:
         raise ValueError("lambda is computed for c > 0 only")
-    coeffs = np.array([f.coeffs for f in family]).T
+    # Only solve_pswfs makes modes whose coeffs are views (the constructor
+    # copies), and it puts mode k in row k of their shared block.
+    block = first.coeffs.base
+    rows = [f.params.k for f in family if f.coeffs.base is block]
+    if block is not None and len(rows) == len(family):
+        coeffs = block.take(rows, axis=0).T
+    else:
+        coeffs = np.array([f.coeffs for f in family]).T
     phi_left = clenshaw(first.basis, coeffs, -1.0).tolist()
     log_pref = (
         0.5 * p.d * math.log(math.pi)

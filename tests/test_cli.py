@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ballprolate
+from ballprolate import cli
 from ballprolate.cli import _parse_grid, main
 from ballprolate.geometry import eval_phi, eval_psi_ball, eval_radial
 from ballprolate.linalg import gauss_jacobi
@@ -58,6 +59,143 @@ class TestCsvBytes:
         assert code == 0
         rule = gauss_jacobi(float(alpha), float(beta), int(m))
         assert out == per_row_csv(["node", "weight"], [rule.nodes, rule.weights])
+
+
+def percent_csv(header, table):
+    """CSV with one "%.15e" % x per Python float of a 2-d table: the
+    reference for _float_csv, whatever route it takes."""
+    lines = [",".join(header)]
+    lines.extend(",".join(["%.15e" % x for x in row]) for row in table.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_csv(got, want):
+    """got == want, failing with the first line that differs: pytest's own
+    diff of two long strings takes minutes."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i}: {got_lines[i:i + 1]} != {want_lines[i:i + 1]}")
+
+
+def assert_formats_table(table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    got = cli._float_csv(header, table)
+    assert_same_csv(got, percent_csv(header, table))
+    return got
+
+
+def adversarial_values():
+    """Values whose 16-digit rounding is hard to get right: zeros,
+    subnormals, the extremes, non-finite values, powers of ten and their
+    neighbours, exact dyadic ties of the 17th digit and their neighbours,
+    and evenly spaced grids."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    values = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny, -tiny,
+              huge, -huge, np.inf, -np.inf, np.nan, -np.nan, 65537 / 65536,
+              1e100, -1e100, 1e-300, 1.5e-300, 1e-280, 1e280, 9.999999999999999e279,
+              float("1e-278"), 1e-100, 1e99, 9.9999999999999995e99]
+    for k in range(-300, 300):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p]
+    # k / 2^s with k odd has s decimals, the last a 5; in [10^(16-s), 10^(17-s))
+    # it has 17 significant digits, so it lies halfway between two 16-digit
+    # values.
+    rng = np.random.default_rng(3)
+    for s in range(1, 17):
+        lo = 10 ** (16 - s) * 2 ** s
+        hi = min(10 ** (17 - s) * 2 ** s, 2 ** 53)
+        for k in rng.integers(lo // 2, hi // 2, 300).tolist():
+            tie = (2 * k + 1) / 2.0 ** s
+            values += [tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf), -tie]
+    values += np.linspace(0.0, 1.0, 40001).tolist()
+    values += (np.arange(1, 4001) / 4000.0).tolist()
+    return np.array(values)
+
+
+class TestFloatCsv:
+    """_float_csv gives the bytes of one "%.15e" per entry, on every route."""
+
+    @pytest.mark.parametrize("cols", [1, 3, 6])
+    def test_random_bit_patterns(self, cols):
+        # 336000 values per table, 1008000 over the three tables.
+        rng = np.random.default_rng(41 + cols)
+        bits = rng.integers(0, 2 ** 64, size=336000, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(-1, cols)
+        flat = table.reshape(-1)
+        flat[::1009] = rng.choice([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0], flat[::1009].size)
+        assert not np.isfinite(table).all()
+        assert_formats_table(table)
+
+    @pytest.mark.parametrize("cols", [1, 2, 5])
+    def test_scaled_normals(self, cols):
+        rng = np.random.default_rng(7 + cols)
+        values = rng.standard_normal(30000) * 10.0 ** rng.uniform(-20.0, 20.0, 30000)
+        assert_formats_table(values.reshape(-1, cols))
+
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_adversarial_values(self, cols):
+        values = adversarial_values()
+        values = values[:values.size - values.size % cols]
+        got = assert_formats_table(values.reshape(-1, cols))
+        assert "1.000000000000000e+100" in got and "1.000000000000000e-300" in got
+        assert "9.999999999999999e-279" in got
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_log10_one_ulp_off(self, monkeypatch, toward):
+        # A log10 that is one ulp off puts floor(log10|x|) one decade off
+        # next to powers of ten; those values must fall back, not misprint.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        powers = 10.0 ** np.arange(-279, 280)
+        table = np.column_stack([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert_formats_table(table)
+
+    def test_negative_zero_column(self):
+        table = np.column_stack([np.linspace(0.1, 0.9, 400), np.full(400, -0.0)])
+        got = assert_formats_table(table)
+        assert got.split("\n")[1] == "1.000000000000000e-01,-0.000000000000000e+00"
+
+    def test_fast_path_formats_a_workload_table(self, capsys, monkeypatch):
+        # If every value fell back to the per-value route the bytes would
+        # still be right but the speed lost; at most 0.1% may fall back.
+        fallen = []
+        percent_fields = cli._percent_fields
+
+        def spy(values):
+            fallen.append(values.size)
+            return percent_fields(values)
+
+        monkeypatch.setattr(cli, "_percent_fields", spy)
+        grid = "0.0:0.00025:0.99975"
+        code, out, _ = run(capsys, "eval", "--dim", "2", "--alpha", "0.5", "--c", "7",
+                           "--n", "1", "--k", "2", "--form", "slepian", "--r", grid)
+        assert code == 0
+        f = solve_pswfs(2, 0.5, 7.0, 1, 2)[2]
+        r = _parse_grid(grid)
+        table = np.column_stack([r, eval_radial(f, r, "slepian")])
+        assert table.shape == (4000, 2)
+        assert_same_csv(out, percent_csv(["r", "value"], table))
+        assert sum(fallen) <= 0.001 * table.size
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_both_sides_of_the_size_threshold(self, monkeypatch, cols):
+        rng = np.random.default_rng(5)
+        vectorized = []
+        float_records = cli._float_records
+
+        def spy(table):
+            vectorized.append(table.size)
+            return float_records(table)
+
+        monkeypatch.setattr(cli, "_float_records", spy)
+        below = -(-cli._VECTOR_MIN_VALUES // cols) - 1
+        for rows in (below, below + 1):
+            table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-120, 120, (rows, cols))
+            assert_formats_table(table)
+        assert vectorized == [(below + 1) * cols]
+        assert below * cols < cli._VECTOR_MIN_VALUES <= (below + 1) * cols
 
 
 class TestParserReuse:
@@ -222,6 +360,13 @@ class TestEvalBall:
         points = tmp_path / "pts.txt"
         rows = np.array([[0.1, -0.2, 0.3, 0.05, -0.4], [0.0, 0.0, 0.0, 0.0, 0.0],
                          [0.6, 0.0, 0.0, -0.8, 0.0]])
+        # 300 more points, inside the ball, so that the CSV is long enough
+        # for the vectorized formatter.
+        rng = np.random.default_rng(5)
+        extra = rng.standard_normal((300, 5))
+        extra *= (rng.random((300, 1)) ** 0.2 * 0.999) / np.linalg.norm(extra, axis=1, keepdims=True)
+        rows = np.vstack([rows, extra])
+        assert (rows.shape[0] * 6) >= cli._VECTOR_MIN_VALUES
         points.write_text("".join(" ".join(map(str, row.tolist())) + "\n" for row in rows))
         code, out, _ = run(capsys, "eval-ball", "--dim", "5", "--alpha", "0", "--c", "2",
                            "--n", "2", "--k", "0", "--ell", "7", "--points", str(points))

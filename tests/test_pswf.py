@@ -303,6 +303,45 @@ class TestSolvedRecords:
         # A pickled mode carries its own row, not its family's block.
         assert len(pickle.dumps(f)) < 2 * f.coeffs.nbytes + 1024
 
+    @pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_round_trip_stays_read_only(self, roundtrip):
+        family = solve_pswfs(*self.FAMILY)
+        for originals, copies in (([family[7]], [roundtrip(family[7])]),
+                                  (family, roundtrip(family))):
+            assert len(copies) == len(originals)
+            for f, g in zip(originals, copies):
+                assert type(g) is RadialPswf and g == g and g.params == f.params
+                assert g.chi == f.chi and g.truncation == f.truncation
+                assert g.coeffs.tobytes() == f.coeffs.tobytes()
+                assert not g.coeffs.flags.writeable
+                with pytest.raises(ValueError):
+                    g.coeffs[0] = 2.0
+
+    def test_mutated_pickle_raises(self):
+        f = solve_pswfs(*self.FAMILY)[7]
+
+        class Truncated:
+            def __reduce__(self):
+                return RadialPswf, (f.params, f.chi, f.coeffs[:-1], f.truncation)
+
+        with pytest.raises(ValueError, match="length K"):
+            pickle.loads(pickle.dumps(Truncated()))
+
+    def test_constructor_keeps_its_own_copy(self):
+        family = solve_pswfs(*self.FAMILY)
+        row = family[3].coeffs
+        # A caller's row 3 of the family block, labelled k = 1, must not be
+        # read as row 1 of that block.
+        relabelled = RadialPswf(family[1].params, family[3].chi, row, family[3].truncation)
+        assert relabelled.coeffs.base is None and not relabelled.coeffs.flags.writeable
+        assert lambda_eigenvalue(relabelled) == lambda_eigenvalue(family[3])
+        assert lambda_eigenvalue([family[0], relabelled]).tolist() == [
+            lambda_eigenvalue(family[0]), lambda_eigenvalue(family[3])]
+        source = row.copy()
+        g = RadialPswf(family[3].params, family[3].chi, source, family[3].truncation)
+        source[0] = 2.0
+        assert g.coeffs.tobytes() == row.tobytes()
+
 
 class TestLambda:
     def test_ball_golden_value(self):
@@ -463,6 +502,23 @@ class TestLambdaBitIdentity:
         assert [lambda_eigenvalue(family).tobytes() for family in families] == per_mode
         monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
         assert [lambda_eigenvalue(family).tobytes() for family in families] == per_mode
+
+
+class TestBlockLambdas:
+    def test_block_rows_match_stacked_rows(self):
+        # The modes of one solve are read from their family's block; deep
+        # copies own their coefficients and are stacked row by row.  Both
+        # routes give the same bytes for any choice and order of modes.
+        family = solve_pswfs(3, 1.0, 20.0, 2, 12)
+        copies = copy.deepcopy(family)
+        assert all(f.coeffs.base is family[0].coeffs.base for f in family)
+        assert all(g.coeffs.base is None for g in copies)
+        for pick in (range(13), range(2, 5), [7, 0, 12, 3], [4]):
+            block = lambda_eigenvalue([family[k] for k in pick])
+            stacked = lambda_eigenvalue([copies[k] for k in pick])
+            assert block.tobytes() == stacked.tobytes()
+        assert lambda_eigenvalue(family[2:5]).tobytes() == lambda_eigenvalue(copies[2:5]).tobytes()
+        assert lambda_eigenvalue(family[4]) == lambda_eigenvalue(copies[4])
 
 
 class TestRecurrenceReuse:
