@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -43,10 +44,6 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 _FLOAT = "%.15e"
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT % x
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -57,14 +54,8 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _float_csv(header: list[str], table: np.ndarray) -> str:
-    """CSV of a 2-d float table, each entry as _fmt prints it.
+    """CSV of a 2-d float table, each entry formatted as _FLOAT % entry.
 
     A table of fewer than _VECTOR_MIN_VALUES entries is formatted in one
     '%' pass over its Python floats; a larger one by _float_records, whose
@@ -122,14 +113,14 @@ def _record_tables():
 
 
 def _percent_fields(values: np.ndarray) -> np.ndarray:
-    """(len(values), 23) uint8 array: row i is _fmt(values[i]) in ASCII,
+    """(len(values), 23) uint8 array: row i is _FLOAT % values[i] in ASCII,
     padded with NUL bytes.  _float_records falls back on it."""
     text = "".join([(_FLOAT % v).ljust(23, "\0") for v in values.tolist()])
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(values), 23)
 
 
 def _float_records(table: np.ndarray) -> str:
-    """Rows of a 2-d float table as CSV lines, byte for byte what _fmt
+    """Rows of a 2-d float table as CSV lines, byte for byte what _FLOAT
     prints for each entry, formatted in array passes over the whole table.
 
     For |x| in [1e-280, 1e280], with e = floor(log10|x|), the scaled value
@@ -216,6 +207,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError(f"grid start, step and stop must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -225,21 +218,20 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _parse_points(path: str, d: int) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != d:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {d} coordinates, got {len(fields)}"
-                )
-            rows.append([float(f) for f in fields])
-    if not rows:
+    """The (N, d) points of a --points file: one point per line, coordinates
+    separated by spaces or tabs, blank lines skipped."""
+    try:
+        with warnings.catch_warnings():
+            # An empty file is reported below, not by NumPy's UserWarning.
+            warnings.simplefilter("ignore", UserWarning)
+            points = np.loadtxt(path, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if points.size == 0:
         raise ValueError(f"{path}: no points found")
-    return np.asarray(rows)
+    if points.shape[1] != d:
+        raise ValueError(f"{path}: expected {d} coordinates, got {points.shape[1]}")
+    return points
 
 
 def cmd_solve(args) -> int:
@@ -262,17 +254,14 @@ def cmd_solve(args) -> int:
         }
         _emit(json.dumps(payload), args.out)
     else:
-        rows = [
-            [
-                str(f.params.k),
-                _fmt(f.chi),
-                _fmt(lam) if lam is not None else "",
-                _fmt(lam * lam) if lam is not None else "",
-                str(f.truncation),
-            ]
-            for f, lam in zip(family, lambdas)
-        ]
-        _emit(_csv(["k", "chi", "lambda", "mu", "K"], rows), args.out)
+        if args.c > 0:
+            line = "%d,%.15e,%.15e,%.15e,%d\n"
+            values = [v for f, lam in zip(family, lambdas)
+                      for v in (f.params.k, f.chi, lam, lam * lam, f.truncation)]
+        else:
+            line = "%d,%.15e,,,%d\n"
+            values = [v for f in family for v in (f.params.k, f.chi, f.truncation)]
+        _emit("k,chi,lambda,mu,K\n" + (line * len(family)) % tuple(values), args.out)
     return EXIT_OK
 
 
@@ -298,10 +287,16 @@ def cmd_eval_ball(args) -> int:
     return EXIT_OK
 
 
-def _report_output(report, args) -> int:
+def _report_output(run, args) -> int:
+    """Run the report, with PROLATE_TOL, when set, as every case's tolerance;
+    the override is checked before the report runs."""
     raw = os.environ.get("PROLATE_TOL")
-    if raw:
-        report.cases = [dataclasses.replace(c, tolerance=float(raw)) for c in report.cases]
+    tolerance = float(raw) if raw else None
+    if tolerance is not None and not math.isfinite(tolerance):
+        raise ValueError(f"PROLATE_TOL must be finite, got {raw!r}")
+    report = run()
+    if tolerance is not None:
+        report.cases = [dataclasses.replace(c, tolerance=tolerance) for c in report.cases]
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
@@ -312,11 +307,11 @@ def _report_output(report, args) -> int:
 
 
 def cmd_table(args) -> int:
-    return _report_output(table_check(args.id), args)
+    return _report_output(functools.partial(table_check, args.id), args)
 
 
 def cmd_verify(args) -> int:
-    return _report_output(run_suite(args.suite), args)
+    return _report_output(functools.partial(run_suite, args.suite), args)
 
 
 def cmd_quad(args) -> int:

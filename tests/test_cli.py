@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from ballprolate import cli
 from ballprolate.cli import _parse_grid, main
 from ballprolate.geometry import eval_phi, eval_psi_ball, eval_radial
 from ballprolate.linalg import gauss_jacobi
-from ballprolate.pswf import solve_pswfs
+from ballprolate.pswf import lambda_eigenvalue, solve_pswfs
 
 
 def run(capsys, *argv):
@@ -240,6 +241,21 @@ class TestSolve:
         assert chis == [3.0, 15.0, 35.0]
         assert all(r[2] == "" and r[3] == "" for r in rows)
 
+    @pytest.mark.parametrize("d, alpha, c, n, k_max", [(2, 0.0, 1.0, 0, 12),
+                                                     (3, 1.0, 20.0, 2, 12),
+                                                     (2, 0.0, 0.0, 1, 2)])
+    def test_csv_matches_per_value_format(self, capsys, d, alpha, c, n, k_max):
+        code, out, _ = run(capsys, "solve", "--dim", str(d), "--alpha", str(alpha),
+                           "--c", str(c), "--n", str(n), "--k-max", str(k_max))
+        assert code == 0
+        family = solve_pswfs(d, alpha, c, n, k_max)
+        lambdas = lambda_eigenvalue(family).tolist() if c > 0 else [None] * len(family)
+        lines = ["k,chi,lambda,mu,K"]
+        for f, lam in zip(family, lambdas):
+            pair = ["%.15e" % lam, "%.15e" % (lam * lam)] if lam is not None else ["", ""]
+            lines.append(",".join([str(f.params.k), "%.15e" % f.chi, *pair, str(f.truncation)]))
+        assert out == "\n".join(lines) + "\n"
+
     def test_json_lambda_field(self, capsys):
         code, out, _ = run(capsys, "solve", "--dim", "3", "--alpha", "1", "--c", "0.1",
                            "--n", "0", "--k-max", "0", "--format", "json")
@@ -341,6 +357,14 @@ class TestEval:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("grid", ["0.5:1:inf", "0:inf:1", "nan:0.1:1"])
+    def test_non_finite_grid(self, capsys, grid):
+        code, out, err = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",
+                             "--n", "0", "--k", "0", "--r", grid)
+        assert code == 2
+        assert "grid" in err
+        assert out == ""
+
 
 class TestEvalBall:
     def test_parity_through_point_file(self, capsys, tmp_path):
@@ -385,6 +409,65 @@ class TestEvalBall:
         assert code == 2
         assert "expected 2 coordinates" in err
 
+    @pytest.mark.parametrize("dim, text", [
+        (2, "0.3 0.4\n\n  \n-0.3\t0.4\n0.1 \t -0.2\n\t\n"),
+        (2, "0.3 0.4\r\n-0.3 -0.4\r\n"),
+        (1, "0.25\n\n-0.5\n0.75"),
+    ], ids=["blank-lines-and-tabs", "crlf", "one-column"])
+    def test_point_file_layout(self, capsys, tmp_path, dim, text):
+        points = tmp_path / "pts.txt"
+        points.write_text(text, newline="")
+        code, out, _ = run(capsys, "eval-ball", "--dim", str(dim), "--alpha", "0",
+                           "--c", "2", "--n", "1", "--k", "0", "--ell", "1",
+                           "--points", str(points))
+        assert code == 0
+        rows = np.array([[float(x) for x in line.split()]
+                         for line in text.splitlines() if line.strip()])
+        values = eval_psi_ball(solve_pswfs(dim, 0.0, 2.0, 1, 0)[0], 1, rows)
+        header = [f"x{i + 1}" for i in range(dim)] + ["value"]
+        assert out == per_row_csv(header, [*rows.T, values])
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no points found"),
+        ("\n  \n\t\n", "no points found"),
+        ("0.3 0.4\n0.3\n", ""),
+        ("0.3 0.4\n0.3 0.4 0.5\n", ""),
+        ("0.3 abc\n", "abc"),
+        ("# x y\n0.3 0.4\n", "#"),
+    ], ids=["empty", "blank-only", "short-row", "long-row", "non-numeric", "comment-line"])
+    def test_malformed_point_file(self, capsys, tmp_path, text, message):
+        points = tmp_path / "pts.txt"
+        points.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval-ball", "--dim", "2", "--alpha", "0",
+                                 "--c", "2", "--n", "1", "--k", "0", "--ell", "1",
+                                 "--points", str(points))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {points}: ")
+        assert message in err
+
+    def test_missing_point_file(self, capsys, tmp_path):
+        points = tmp_path / "absent.txt"
+        code, _, err = run(capsys, "eval-ball", "--dim", "2", "--alpha", "0", "--c", "2",
+                           "--n", "1", "--k", "0", "--ell", "1", "--points", str(points))
+        assert code == 2
+        assert str(points) in err
+
+    def test_repr_written_points_parse_exactly(self, tmp_path):
+        rng = np.random.default_rng(14)
+        rows = rng.standard_normal((400, 3))
+        rows[::7] *= 10.0 ** rng.integers(-300, 300, size=(58, 1))
+        rows[1, 1] = -0.0
+        points = tmp_path / "pts.txt"
+        text = "".join(" ".join(repr(v) for v in row) + "\n" for row in rows.tolist())
+        points.write_text(text)
+        want = np.array([[float(x) for x in line.split()] for line in text.splitlines()])
+        got = cli._parse_points(str(points), 3)
+        assert got.dtype == np.float64 and got.shape == (400, 3)
+        assert got.tobytes() == want.tobytes() == rows.tobytes()
+
 
 class TestTableAndVerify:
     def test_table_one_passes(self, capsys):
@@ -416,6 +499,28 @@ class TestTableAndVerify:
         monkeypatch.delenv("PROLATE_TOL")
         code, _, _ = run(capsys, "verify", "--suite", "recurrence")
         assert code == 0
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [("table", "--id", "1"),
+                                      ("verify", "--suite", "recurrence", "--format", "json")])
+    def test_non_finite_tolerance_override(self, capsys, monkeypatch, raw, argv):
+        def never(*args):
+            raise AssertionError("the report ran before PROLATE_TOL was checked")
+
+        monkeypatch.setattr(cli, "table_check", never)
+        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.setenv("PROLATE_TOL", raw)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "PROLATE_TOL" in err
+
+    def test_negative_tolerance_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROLATE_TOL", "-1e-3")
+        code, out, _ = run(capsys, "verify", "--suite", "recurrence", "--format", "json")
+        assert code == 1
+        cases = json.loads(out)["cases"]
+        assert all(c["tolerance"] == -1e-3 and not c["pass"] for c in cases)
 
     def test_table_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PROLATE_TOL", "1e-30")
