@@ -211,7 +211,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid start, step and stop must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"grid {spec!r} has too many points to count")
+    count = int(math.floor(span + 1e-9)) + 1
     if count < 1:
         raise ValueError(f"grid {spec!r} contains no points")
     return start + step * np.arange(count)
@@ -291,9 +294,12 @@ def _report_output(run, args) -> int:
     """Run the report, with PROLATE_TOL, when set, as every case's tolerance;
     the override is checked before the report runs."""
     raw = os.environ.get("PROLATE_TOL")
-    tolerance = float(raw) if raw else None
+    try:
+        tolerance = float(raw) if raw else None
+    except ValueError:
+        tolerance = math.nan
     if tolerance is not None and not math.isfinite(tolerance):
-        raise ValueError(f"PROLATE_TOL must be finite, got {raw!r}")
+        raise ValueError(f"PROLATE_TOL must be a finite number, got {raw!r}")
     report = run()
     if tolerance is not None:
         report.cases = [dataclasses.replace(c, tolerance=tolerance) for c in report.cases]

@@ -68,6 +68,13 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _validate_count(value, name: str, minimum: int = 0) -> None:
+    """Raise ValueError unless value is an integer (Python or NumPy) >= minimum."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {kind}, got {value}")
+
+
 def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric tridiagonal matrix.
 
@@ -94,8 +101,7 @@ def gauss_jacobi(alpha: float, beta: float, m: int) -> QuadratureRule:
     the weights are the squared first eigenvector components scaled by the
     zeroth moment 2^(alpha+beta+1) B(alpha+1, beta+1).
     """
-    if m < 1:
-        raise ValueError(f"node count must be at least 1, got {m}")
+    _validate_count(m, "node count m", 1)
     a, b = _recurrence_arrays(JacobiBasis(alpha, beta), m - 1)
     nodes, vectors = eig_symtridiag(TridiagonalSym(b, a[:-1]))
     mu0 = math.exp(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEndpoint, NonPositiveLambda, TruncationNotConverged
-from .linalg import TridiagonalSym, eig_symtridiag
+from .linalg import TridiagonalSym, _validate_count, eig_symtridiag
 from .specfn import JacobiBasis, _recurrence_arrays, clenshaw
 
 __all__ = [
@@ -61,8 +61,7 @@ _BOUND_SLACK = 1e-12
 
 
 def _validate_family(d: int, alpha: float, c: float, n: int) -> None:
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    _validate_count(d, "dimension", 1)
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if not c >= 0.0:
@@ -70,11 +69,6 @@ def _validate_family(d: int, alpha: float, c: float, n: int) -> None:
     _validate_count(n, "angular degree n")
     if d == 1 and n > 1:
         raise ValueError(f"for d=1 only n in {{0, 1}} exists, got n={n}")
-
-
-def _validate_count(value, name: str) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 0):
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -293,14 +287,7 @@ def lambda_eigenvalue(modes):
             )
     if not p.c > 0.0:
         raise ValueError("lambda is computed for c > 0 only")
-    # Only solve_pswfs makes modes whose coeffs are views (the constructor
-    # copies), and it puts mode k in row k of their shared block.
-    block = first.coeffs.base
-    rows = [f.params.k for f in family if f.coeffs.base is block]
-    if block is not None and len(rows) == len(family):
-        coeffs = block.take(rows, axis=0).T
-    else:
-        coeffs = np.array([f.coeffs for f in family]).T
+    coeffs = np.array([f.coeffs for f in family]).T
     phi_left = clenshaw(first.basis, coeffs, -1.0).tolist()
     log_pref = (
         0.5 * p.d * math.log(math.pi)
@@ -343,8 +330,7 @@ def perturbation_coeffs(d: int, alpha: float, n: int, k: int) -> tuple[float, fl
     and the eigenfunction picks up c^2 (B_minus P~_{k-1} + B_plus P~_{k+1}).
     """
     _validate_family(d, alpha, 0.0, n)
-    if k < 0:
-        raise ValueError(f"radial index k must be non-negative, got {k}")
+    _validate_count(k, "radial index k")
     s = alpha + (n + d / 2.0 - 1.0)
     a, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), k)
     d_k1 = 0.5 * (b[k] + 1.0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tables
 from .geometry import kernel_qc
-from .linalg import gauss_jacobi
+from .linalg import _validate_count, gauss_jacobi
 from .pswf import (
     RadialPswf,
     build_matrix,
@@ -114,8 +114,8 @@ class VerificationReport:
             "passed": self.passed,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)
 
     def summary(self) -> str:
         lines = [
@@ -234,9 +234,8 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
     """
     if d != 2:
         raise ValueError("the Rayleigh spot check is implemented on the disk only")
-    for name, count in (("radial_nodes", radial_nodes), ("angular_nodes", angular_nodes)):
-        if not (isinstance(count, (int, np.integer)) and count >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    _validate_count(radial_nodes, "radial_nodes", 1)
+    _validate_count(angular_nodes, "angular_nodes", 1)
     pswf = solve_pswfs(d, alpha, c, n, k)[k]
     rule = gauss_jacobi(0.0, 0.0, radial_nodes)
     t = 0.5 * (rule.nodes + 1.0)
@@ -262,11 +261,18 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
     return numerator / denominator
 
 
-def _aligned_sign(refs: np.ndarray, vals: np.ndarray) -> float:
-    """Overall sign aligning computed values with a reference eigenfunction
-    family, whose global sign is an arbitrary convention."""
-    dot = float(refs @ vals)
-    return -1.0 if dot < 0.0 else 1.0
+# Radial tables: rows grouped by (n, k, c), and per group the samples
+# (d, alpha, offset, columns) of r^(n + offset) phi(2r^2-1), sign-aligned
+# with the first column.  Each column is (name, row index, tolerance).  The
+# alpha = 0 column of table 4 is published in the disk-style r^(n+1/2)
+# presentation; the others are the plain radial factor r^n.
+_RADIAL_TABLES = {
+    2: (tables.TABLE2, [(2, 0.0, 0.5, [("value", 4, 1e-9), ("value_hist6", 5, 5e-6),
+                                       ("value_hist8", 6, 5e-6)])]),
+    4: (tables.TABLE4, [(3, 0.0, 0.5, [("alpha0", 4, 1e-9)]),
+                        (3, 1.0, 0.0, [("alpha1", 5, 1e-9)]),
+                        (3, 2.0, 0.0, [("alpha2", 6, 1e-9)])]),
+}
 
 
 def _rel(err_value: float, ref: float) -> float:
@@ -310,42 +316,23 @@ def table_check(table_id: int) -> VerificationReport:
                 report.add({**base, "column": "lambda_abs"}, abs(lam - lam_ref), 1e-18)
         return report
 
-    if table_id == 2:
-        rows = tables.TABLE2
-        groups: dict[tuple, list] = {}
-        for row in rows:
-            groups.setdefault((row[2], row[3], row[1]), []).append(row)
-        for (n, k, c), members in groups.items():
-            f = solve_pswfs(2, 0.0, c, n, k)[k]
-            rs = np.array([m[0] for m in members])
-            refs = np.array([m[4] for m in members])
-            vals = rs ** (n + 0.5) * clenshaw(f.basis, f.coeffs, 2.0 * rs * rs - 1.0)
-            sign = _aligned_sign(refs, vals)
-            for m, v in zip(members, sign * vals):
-                base = {"r": m[0], "c": c, "n": n, "k": k}
-                report.add({**base, "column": "value"}, _rel(v, m[4]), 1e-9)
-                report.add({**base, "column": "value_hist6"}, _rel(v, m[5]), 5e-6)
-                report.add({**base, "column": "value_hist8"}, _rel(v, m[6]), 5e-6)
-        return report
-
-    rows = tables.TABLE4
-    groups = {}
+    rows, samples = _RADIAL_TABLES[table_id]
+    groups: dict[tuple, list] = {}
     for row in rows:
         groups.setdefault((row[2], row[3], row[1]), []).append(row)
     for (n, k, c), members in groups.items():
         rs = np.array([m[0] for m in members])
-        for column, alpha in (("alpha0", 0.0), ("alpha1", 1.0), ("alpha2", 2.0)):
-            f = solve_pswfs(3, alpha, c, n, k)[k]
-            phi = clenshaw(f.basis, f.coeffs, 2.0 * rs * rs - 1.0)
-            # The alpha = 0 column is published in the disk-style r^(n+1/2)
-            # presentation; the others are the plain radial factor r^n.
-            power = n + 0.5 if alpha == 0.0 else float(n)
-            vals = rs ** power * phi
-            refs = np.array([m[4 + int(alpha)] for m in members])
-            sign = _aligned_sign(refs, vals)
-            for m, v, ref in zip(members, sign * vals, refs):
-                base = {"r": m[0], "c": c, "n": n, "k": k, "column": column}
-                report.add(base, _rel(v, ref), 1e-9)
+        for d, alpha, offset, columns in samples:
+            f = solve_pswfs(d, alpha, c, n, k)[k]
+            vals = rs ** (n + offset) * clenshaw(f.basis, f.coeffs, 2.0 * rs * rs - 1.0)
+            # The reference family's global sign is an arbitrary convention.
+            refs = np.array([m[columns[0][1]] for m in members])
+            if refs @ vals < 0.0:
+                vals = -vals
+            for m, v in zip(members, vals.tolist()):
+                for column, index, tol in columns:
+                    report.add({"r": m[0], "c": c, "n": n, "k": k, "column": column},
+                               _rel(v, m[index]), tol)
     return report
 
 
@@ -356,32 +343,31 @@ def _hankel_grid():
                 yield d, alpha, c, n
 
 
+def _family_suite(suite: str, combos, k_max: int, cases) -> VerificationReport:
+    """Report of one family suite: each (d, alpha, c, n) in combos is solved
+    for k = 0..k_max, and cases(family) yields its (params, metric,
+    tolerance) triples, whose params follow the family's own."""
+    report = VerificationReport(suite=suite)
+    for d, alpha, c, n in combos:
+        head = {"d": d, "alpha": alpha, "c": c, "n": n}
+        for params, metric, tolerance in cases(solve_pswfs(d, alpha, c, n, k_max)):
+            report.add({**head, **params}, metric, tolerance)
+    return report
+
+
 def suite_hankel() -> VerificationReport:
     """Integral-route residuals over the standard parameter grid, k <= 4:
     all 135 modes, down to lambda ~ 1e-13 at c = 1."""
-    report = VerificationReport(suite="hankel")
-    for d, alpha, c, n in _hankel_grid():
-        family = solve_pswfs(d, alpha, c, n, 4)
-        for f, lam in zip(family, lambda_eigenvalue(family).tolist()):
-            report.add(
-                {"d": d, "alpha": alpha, "c": c, "n": n, "k": f.params.k},
-                hankel_residual(f, lam),
-                HANKEL_TOL,
-            )
-    return report
+    return _family_suite("hankel", _hankel_grid(), 4, lambda family: (
+        ({"k": f.params.k}, hankel_residual(f, lam), HANKEL_TOL)
+        for f, lam in zip(family, lambda_eigenvalue(family).tolist())))
 
 
 def suite_orthonormality() -> VerificationReport:
     """Gram deviation of the disk family alpha=0, c=10, n <= 3, k <= 10."""
-    report = VerificationReport(suite="orthonormality")
-    for n in range(4):
-        family = solve_pswfs(2, 0.0, 10.0, n, 10)
-        report.add(
-            {"d": 2, "alpha": 0.0, "c": 10.0, "n": n, "k_max": 10},
-            orthonormality_gram(family),
-            ORTHONORMALITY_TOL,
-        )
-    return report
+    return _family_suite("orthonormality", [(2, 0.0, 10.0, n) for n in range(4)], 10,
+                         lambda family: [({"k_max": 10}, orthonormality_gram(family),
+                                          ORTHONORMALITY_TOL)])
 
 
 def suite_bounds() -> VerificationReport:
@@ -395,7 +381,6 @@ def suite_bounds() -> VerificationReport:
     independent routes agree that e.g. alpha = -1/2, c = 10, d = 2 has
     lambda_1 > lambda_0), while positivity holds throughout.
     """
-    report = VerificationReport(suite="bounds")
     combos = list(_hankel_grid()) + [
         (1, 0.0, c, n) for c in (1.0, 5.0, 10.0) for n in (0, 1)
     ] + [
@@ -405,23 +390,24 @@ def suite_bounds() -> VerificationReport:
     ] + [
         (5, 1.0, 2.0, n) for n in range(3)
     ]
-    for d, alpha, c, n in combos:
-        family = solve_pswfs(d, alpha, c, n, 4)
-        base = {"d": d, "alpha": alpha, "c": c, "n": n}
-        margin = -math.inf
-        for f in family:
-            lower, upper = chi_bounds(f.params)
-            margin = max(margin, (lower - f.chi) / c ** 2, (f.chi - upper) / c ** 2)
-        report.add({**base, "check": "enclosure"}, margin, BOUNDS_TOL)
-        chis = np.array([f.chi for f in family])
-        lams = lambda_eigenvalue(family)
-        chi_margin = float(np.max(chis[:-1] - chis[1:]) / np.max(np.abs(chis)))
-        report.add({**base, "check": "chi_increasing"}, chi_margin, BOUNDS_TOL)
-        if alpha >= 0.0:
-            lam_margin = float(np.max((lams[1:] - lams[:-1]) / lams[:-1]))
-            report.add({**base, "check": "lambda_decreasing"}, lam_margin, BOUNDS_TOL)
-        report.add({**base, "check": "lambda_positive"}, float(np.max(-lams)), BOUNDS_TOL)
-    return report
+    return _family_suite("bounds", combos, 4, _bounds_cases)
+
+
+def _bounds_cases(family):
+    p = family[0].params
+    margin = -math.inf
+    for f in family:
+        lower, upper = chi_bounds(f.params)
+        margin = max(margin, (lower - f.chi) / p.c ** 2, (f.chi - upper) / p.c ** 2)
+    yield {"check": "enclosure"}, margin, BOUNDS_TOL
+    chis = np.array([f.chi for f in family])
+    lams = lambda_eigenvalue(family)
+    yield ({"check": "chi_increasing"},
+           float(np.max(chis[:-1] - chis[1:]) / np.max(np.abs(chis))), BOUNDS_TOL)
+    if p.alpha >= 0.0:
+        yield ({"check": "lambda_decreasing"},
+               float(np.max((lams[1:] - lams[:-1]) / lams[:-1])), BOUNDS_TOL)
+    yield {"check": "lambda_positive"}, float(np.max(-lams)), BOUNDS_TOL
 
 
 def suite_perturbation() -> VerificationReport:
@@ -468,7 +454,6 @@ def suite_perturbation() -> VerificationReport:
 
 def suite_recurrence() -> VerificationReport:
     """Coefficient-recurrence residuals on a parameter sample, including c=0."""
-    report = VerificationReport(suite="recurrence")
     combos = [
         (2, 0.0, 1.0, 0),
         (3, 1.0, 5.0, 2),
@@ -476,14 +461,8 @@ def suite_recurrence() -> VerificationReport:
         (5, 0.5, 2.0, 3),
         (2, 0.0, 0.0, 1),
     ]
-    for d, alpha, c, n in combos:
-        for f in solve_pswfs(d, alpha, c, n, 4):
-            report.add(
-                {"d": d, "alpha": alpha, "c": c, "n": n, "k": f.params.k},
-                recurrence_residual(f),
-                RECURRENCE_TOL,
-            )
-    return report
+    return _family_suite("recurrence", combos, 4, lambda family: (
+        ({"k": f.params.k}, recurrence_residual(f), RECURRENCE_TOL) for f in family))
 
 
 _SUITES = {

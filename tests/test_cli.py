@@ -357,12 +357,14 @@ class TestEval:
         assert code == 2
         assert "grid" in err
 
-    @pytest.mark.parametrize("grid", ["0.5:1:inf", "0:inf:1", "nan:0.1:1"])
+    # The last two grids have finite bounds, but their point counts overflow.
+    @pytest.mark.parametrize("grid", ["0.5:1:inf", "0:inf:1", "nan:0.1:1",
+                                      "-1e308:1:1e308", "0:1e-308:1e308"])
     def test_non_finite_grid(self, capsys, grid):
         code, out, err = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",
-                             "--n", "0", "--k", "0", "--r", grid)
+                             "--n", "0", "--k", "0", f"--r={grid}")
         assert code == 2
-        assert "grid" in err
+        assert f"grid {grid!r}" in err or f"got {grid!r}" in err
         assert out == ""
 
 
@@ -500,7 +502,7 @@ class TestTableAndVerify:
         code, _, _ = run(capsys, "verify", "--suite", "recurrence")
         assert code == 0
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "abc"])
     @pytest.mark.parametrize("argv", [("table", "--id", "1"),
                                       ("verify", "--suite", "recurrence", "--format", "json")])
     def test_non_finite_tolerance_override(self, capsys, monkeypatch, raw, argv):

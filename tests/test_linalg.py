@@ -135,3 +135,12 @@ class TestGaussJacobi:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([0.5, -0.5]), weights=np.array([1.0, 1.0]),
                            alpha=0.0, beta=0.0)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, 0, -1, np.float64(2.0)])
+    def test_node_count_must_be_an_integer_of_at_least_one(self, m):
+        with pytest.raises(ValueError, match="node count m must be an integer >= 1"):
+            gauss_jacobi(0.0, 0.0, m)
+
+    def test_numpy_integer_node_count(self):
+        rule = gauss_jacobi(0.0, 0.0, np.int64(3))
+        assert rule.nodes.tobytes() == gauss_jacobi(0.0, 0.0, 3).nodes.tobytes()

@@ -506,9 +506,10 @@ class TestLambdaBitIdentity:
 
 class TestBlockLambdas:
     def test_block_rows_match_stacked_rows(self):
-        # The modes of one solve are read from their family's block; deep
-        # copies own their coefficients and are stacked row by row.  Both
-        # routes give the same bytes for any choice and order of modes.
+        # The modes of one solve are views into their family's block; deep
+        # copies own their coefficients.  lambda_eigenvalue stacks the rows
+        # of either, and both give the same bytes for any choice and order
+        # of modes.
         family = solve_pswfs(3, 1.0, 20.0, 2, 12)
         copies = copy.deepcopy(family)
         assert all(f.coeffs.base is family[0].coeffs.base for f in family)
@@ -597,6 +598,12 @@ class TestPerturbation:
             return lambda_eigenvalue(f) / c ** (n + 2 * k)
 
         assert abs(reduced(1e-2) / reduced(1e-3) - 1.0) <= 1e-4
+
+
+    @pytest.mark.parametrize("k", [2.5, 1.0, -1])
+    def test_radial_index_must_be_a_non_negative_integer(self, k):
+        with pytest.raises(ValueError, match="radial index k must be a non-negative integer"):
+            perturbation_coeffs(2, 0.0, 0, k)
 
 
 class TestChiBounds:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ class TestSuites:
         assert "enclosure" in names
         assert len(report.cases) > 100
         assert report.cases == [case for name in SUITE_NAMES for case in run_suite(name).cases]
+
+
+class TestCaseLists:
+    # The ordered (params, tolerance) pairs of every suite and table, as
+    # recorded in tests/data/verify_cases.json before the suites shared one
+    # family loop and tables 2 and 4 one radial-sample path.  They hold only
+    # grid values and constants, so they do not depend on the NumPy version.
+    # Compared through json.dumps, so key order and int/float types count.
+    RECORDED = json.loads((Path(__file__).parent / "data" / "verify_cases.json").read_text())
+
+    @pytest.mark.parametrize("name", [*SUITE_NAMES, "table1", "table2", "table3", "table4"])
+    def test_case_list_is_pinned(self, name):
+        report = table_check(int(name[5:])) if name.startswith("table") else run_suite(name)
+        cases = [[c.params, c.tolerance] for c in report.cases]
+        assert json.dumps(cases) == json.dumps(self.RECORDED[name])
 
 
 class TestReportType:
