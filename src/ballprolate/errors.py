@@ -10,13 +10,13 @@ class TruncationNotConverged(RuntimeError):
 
 
 class DegenerateEndpoint(ArithmeticError):
-    """The endpoint formula for lambda broke down: the radial eigenfunction
-    underflowed at eta = -1, or lambda came out above the weight-integral
-    bound pi^(d/2) Gamma(alpha+1)/Gamma(alpha+d/2+1)."""
+    """lambda underflowed, met a zero pivot in its coefficient ratios, or
+    broke the weight-integral bound or, for alpha >= 0, the Plancherel bound
+    (2 pi/c)^(d/2); the message names which."""
 
 
 class NonPositiveLambda(ArithmeticError):
-    """The Fourier eigenvalue came out non-positive, indicating a sign bug."""
+    """lambda came out negative: chi is not the eigenvalue of mode k."""
 
 
 class IndexOutOfRange(ValueError):

@@ -29,13 +29,14 @@ with c until that certificate holds, so bandwidths in the hundreds solve.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateEndpoint, NonPositiveLambda, TruncationNotConverged
 from .linalg import TridiagonalSym, _validate_count, eig_symtridiag
-from .specfn import JacobiBasis, _recurrence_arrays, clenshaw
+from .specfn import JacobiBasis, _recurrence_arrays, jacobi_eval
 
 __all__ = [
     "PswfParams",
@@ -54,9 +55,9 @@ _CERTIFICATE_RTOL = 1e-15
 # eigenvector matrix at K = 2048 takes 34 MB.
 _TRUNCATION_CAP = 2048
 _SIGN_PIVOT_FLOOR = 1e-12
-_ENDPOINT_FLOOR = 1e-250
-# Relative slack over the weight-integral bound on lambda: at tiny c the
-# k = 0 lambda tends to the bound itself.
+_LOG_MAX = math.log(sys.float_info.max)
+# Relative slack over the bounds on lambda: at tiny c the k = 0 lambda
+# tends to the weight-integral bound, and at large c to the Plancherel one.
 _BOUND_SLACK = 1e-12
 
 
@@ -249,6 +250,28 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
     return _solved_modes(d, alpha, c, n, K, values, rows)
 
 
+def _twisted_ratios(chi: float, m: int, diag, off, ends):
+    """(q, e, tail): beta_0/phi(-1) = q 2^e on rows 0..len(diag)-1, and the
+    share of phi(-1) in its last term.  ends holds P~_j(-1).  Ratios
+    beta_j/beta_(j+1) run below m and beta_j/beta_(j-1) above it, each with
+    its part of phi(-1)/beta_m in Horner form.  A zero pivot raises
+    ZeroDivisionError."""
+    head, e, below, carry = 1.0, 0, ends[0], 0.0
+    for d_j, e_j, p_next in zip(diag[:m], off, ends[1:m + 1]):
+        r = -e_j / (d_j - chi + carry)
+        carry, below, head = e_j * r, p_next + r * below, head * r
+        if -1e-150 < head < 1e-150:
+            head, shift = math.frexp(head)
+            e += shift
+    above, last, carry = 0.0, ends[-1], 0.0
+    for d_j, e_prev, p_j in zip(diag[:m:-1], off[m:][::-1], ends[:m:-1]):
+        s = -e_prev / (d_j - chi + carry)
+        carry, above, last = e_prev * s, s * (p_j + above), last * s
+    (head, shift), total = math.frexp(head), below + above
+    phi, phi_shift = math.frexp(total)
+    return head / phi, e + shift - phi_shift, abs(last / total)
+
+
 def lambda_eigenvalue(modes):
     """Eigenvalue lambda > 0 under the finite Fourier transform, of one
     solved radial mode (a float) or of each mode in a sequence from one
@@ -258,19 +281,20 @@ def lambda_eigenvalue(modes):
                  / (2^(n-1/2) sqrt(Gamma(n+d/2) Gamma(alpha+n+d/2+1)))
                  * beta_0 / phi(-1).
 
-    The (-1)^k factor cancels the endpoint sign of the k-th mode under the
-    coeffs[k] > 0 convention, so the result is positive for every k; the
-    ratio beta_0/phi(-1) makes the value invariant under rescaling of the
-    coefficient vector.  A sequence is summed in one Clenshaw pass over its
-    coefficient matrix, with the prefactor computed once, so its modes must
-    share (d, alpha, c, n) and the truncation K; one mode is the
-    one-element case.  Requires c > 0.
+    beta_0/phi(-1) comes from the certified chi, not from the eigenvector,
+    whose small entries LAPACK resolves only to eps absolute: forward ratios
+    below the mode's largest coefficient m, Miller's backward ratios from K'
+    down to m+1 (Gautschi, SIAM Rev. 9, 1967).  K' starts at K+1 and doubles
+    until the last term of phi(-1) is at most eps of it.  The modes of a
+    sequence must share (d, alpha, c, n) and K.  Requires c > 0.
 
-    |lambda| cannot exceed the weight integral
-    B = int_B (1-|x|^2)^alpha dx = pi^(d/2) Gamma(alpha+1)/Gamma(alpha+d/2+1).
-    The modes are checked in sequence order and the first failing one
-    raises: DegenerateEndpoint when phi(-1) underflowed or lambda exceeds
-    B (1 + 1e-12), NonPositiveLambda when lambda is not positive.
+    The first failing mode raises: NonPositiveLambda when lambda < 0 (chi is
+    not the eigenvalue of mode k); DegenerateEndpoint when a pivot or
+    phi(-1) is exactly zero, lambda underflows below sys.float_info.min, or
+    it exceeds by more than 1e-12 relative the weight integral
+    pi^(d/2) Gamma(alpha+1)/Gamma(alpha+d/2+1) or, for alpha >= 0, the
+    Plancherel bound (2 pi/c)^(d/2); TruncationNotConverged when K' passes
+    8(K+1).
     """
     single = isinstance(modes, RadialPswf)
     family = [modes] if single else list(modes)
@@ -287,8 +311,6 @@ def lambda_eigenvalue(modes):
             )
     if not p.c > 0.0:
         raise ValueError("lambda is computed for c > 0 only")
-    coeffs = np.array([f.coeffs for f in family]).T
-    phi_left = clenshaw(first.basis, coeffs, -1.0).tolist()
     log_pref = (
         0.5 * p.d * math.log(math.pi)
         + p.n * math.log(p.c)
@@ -296,29 +318,35 @@ def lambda_eigenvalue(modes):
         - (p.n - 0.5) * math.log(2.0)
         - 0.5 * (math.lgamma(p.n + p.d / 2.0) + math.lgamma(p.alpha + p.n + p.d / 2.0 + 1.0))
     )
-    pref = math.exp(log_pref)
-    bound = math.exp(
-        0.5 * p.d * math.log(math.pi)
-        + math.lgamma(p.alpha + 1.0)
-        - math.lgamma(p.alpha + p.d / 2.0 + 1.0)
-    )
-    lams = []
-    for f, beta_0, phi in zip(family, coeffs[0].tolist(), phi_left):
-        if abs(phi) < _ENDPOINT_FLOOR:
-            raise DegenerateEndpoint(
-                f"phi(-1) = {phi:.3e} underflowed for params {f.params}"
-            )
-        parity = -1.0 if f.params.k % 2 else 1.0
-        lam = parity * pref * beta_0 / phi
-        if not lam > 0.0:
-            raise NonPositiveLambda(
-                f"lambda = {lam:.6e} for params {f.params}; sign convention violated"
-            )
-        if lam > bound * (1.0 + _BOUND_SLACK):
-            raise DegenerateEndpoint(
-                f"lambda = {lam:.6e} exceeds the weight-integral bound "
-                f"{bound:.6e} for params {f.params}"
-            )
+    log_bound = (0.5 * p.d * math.log(math.pi) + math.lgamma(p.alpha + 1.0)
+                 - math.lgamma(p.alpha + p.d / 2.0 + 1.0))
+    name = "weight-integral"
+    if p.alpha >= 0.0 and 0.5 * p.d * math.log(2.0 * math.pi / p.c) < log_bound:
+        log_bound, name = 0.5 * p.d * math.log(2.0 * math.pi / p.c), "Plancherel"
+    bound, tables, lams = math.exp(log_bound), {}, []
+    for f in family:
+        m = int(np.abs(f.coeffs).argmax())
+        try:
+            for size in [(first.truncation + 1) << i for i in range(4)]:
+                if size not in tables:  # rows 0..K' = size, shared by the family
+                    diag, off = _matrix_entries(p.d, p.alpha, p.c, p.n, size)
+                    ends = jacobi_eval(p.basis, size, -1.0)
+                    tables[size] = diag.tolist(), off.tolist(), ends.tolist()
+                q, e, tail = _twisted_ratios(f.chi, m, *tables[size])
+                if not tail > sys.float_info.epsilon:
+                    break
+            else:
+                raise TruncationNotConverged(f"phi(-1) of {f.params} moves at K'={size}")
+        except ZeroDivisionError:
+            raise DegenerateEndpoint(f"zero pivot for {f.params} at chi = {f.chi!r}") from None
+        # Clamped: a lambda past the float range fails the bound check.
+        lam = (-1) ** f.params.k * q * math.exp(min(log_pref + e * math.log(2.0), _LOG_MAX))
+        if not lam >= 0.0:
+            raise NonPositiveLambda(f"lambda = {lam:.6e} for params {f.params}; sign convention "
+                                    f"violated: chi = {f.chi!r} is not the eigenvalue of mode k")
+        if not sys.float_info.min <= lam <= bound * (1.0 + _BOUND_SLACK):
+            why = "underflow" if lam < bound else f"exceeds the {name} bound {bound:.6e}"
+            raise DegenerateEndpoint(f"lambda = {lam:.6e} for params {f.params}: {why}")
         lams.append(lam)
     return lams[0] if single else np.array(lams)
 

@@ -103,76 +103,56 @@ def jacobi_eval(basis: JacobiBasis, jmax: int, eta) -> np.ndarray:
     """Values P~_0(eta) .. P~_jmax(eta) by forward recurrence.
 
     eta may be a scalar or an ndarray; the result has shape
-    (jmax+1,) + shape(eta).  Arguments outside [-1, 1] are allowed.
+    (jmax+1,) + shape(eta).  Arguments outside [-1, 1] are allowed.  A
+    one-element eta runs on Python floats, bit for bit as the array loop.
     """
     if jmax < 0:
         raise ValueError(f"jmax must be non-negative, got {jmax}")
     eta = np.asarray(eta, dtype=float)
-    out = np.empty((jmax + 1,) + eta.shape)
-    out[0] = 1.0 / _norm_const(basis, 0)
-    if jmax == 0:
-        return out
-    a, b = _recurrence_arrays(basis, jmax)
-    out[1] = (eta - b[0]) / a[0] * out[0]
+    x = eta.item() if eta.size == 1 else eta
+    a, b = (v.tolist() for v in _recurrence_arrays(basis, jmax))
+    p0 = 1.0 / _norm_const(basis, 0)
+    vals = [p0] if jmax == 0 else [p0, (x - b[0]) / a[0] * p0]
     for j in range(1, jmax):
-        out[j + 1] = ((eta - b[j]) * out[j] - a[j - 1] * out[j - 1]) / a[j]
+        vals.append(((x - b[j]) * vals[j] - a[j - 1] * vals[j - 1]) / a[j])
+    out = np.empty((jmax + 1,) + eta.shape)
+    for j, v in enumerate(vals):
+        out[j] = v
     return out
 
 
 def clenshaw(basis: JacobiBasis, coeffs, eta):
     """Sum_j coeffs[j] * P~_j(eta) by backward (Clenshaw) recurrence.
 
-    Shares the recurrence coefficients with jacobi_eval.  coeffs is either
-    a 1-d sequence, with eta a scalar or an ndarray, or a (K+1, M) matrix
-    whose M columns are summed at one scalar eta into an (M,) array; a
-    matrix with an array eta raises ValueError.
-
-    A one-element eta takes the scalar path: the step factors
-    p_j = (eta - b_j)/a_j and q_j = a_j/a_(j+1) are formed once per call,
-    and each column runs y_j = c_j + p_j y_(j+1) - q_j y_(j+2) on Python
-    floats.  These are the same IEEE operations in the same order as the
-    array loop, without NumPy's per-operation overhead.
+    Shares the recurrence coefficients with jacobi_eval.  coeffs is a
+    non-empty 1-d sequence; eta may be a scalar or an ndarray.  A
+    one-element eta runs the recurrence on a Python float, which performs
+    the same IEEE operations in the same order as the array loop but without
+    NumPy's per-operation overhead.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim not in (1, 2) or coeffs.size == 0:
-        raise ValueError("coeffs must be a non-empty 1-d sequence or 2-d matrix")
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise ValueError("coeffs must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coeffs must be finite")
     eta_arr = np.asarray(eta, dtype=float)
-    matrix = coeffs.ndim == 2
-    if matrix and eta_arr.ndim != 0:
-        raise ValueError("a coefficient matrix is summed at a scalar eta only")
-    m = coeffs.shape[0] - 1
+    m = coeffs.size - 1
     h0 = _norm_const(basis, 0)
     if m == 0:
         value = coeffs[0] / h0 * np.ones_like(eta_arr)
-        return float(value) if eta_arr.ndim == 0 and not matrix else value
+        return float(value) if eta_arr.ndim == 0 else value
     # One entry past m so that every step has a[j + 1]; at j = m it
     # multiplies ynext2 = 0 and subtracts an exact zero.
-    a, b = _recurrence_arrays(basis, m + 1)
+    a, b = (v.tolist() for v in _recurrence_arrays(basis, m + 1))
+    c = coeffs.tolist()
+    x = eta_arr.item() if eta_arr.size == 1 else eta_arr
+    ynext = ynext2 = 0.0
+    for j in range(m, -1, -1):
+        ynext, ynext2 = c[j] + (x - b[j]) / a[j] * ynext - a[j] / a[j + 1] * ynext2, ynext
     # S = y_0 * P~_0: the P~_1 tail term vanishes because
     # P~_1 = (eta - b_0)/a_0 * P~_0 with P~_{-1} = 0.
-    if eta_arr.size != 1:
-        a, b, c = a.tolist(), b.tolist(), coeffs.tolist()
-        ynext = ynext2 = 0.0
-        for j in range(m, -1, -1):
-            ynext, ynext2 = (c[j] + (eta_arr - b[j]) / a[j] * ynext
-                             - a[j] / a[j + 1] * ynext2), ynext
-        return np.reshape(ynext / h0, eta_arr.shape)
-    # Step factors and coefficients in step order j = m, m-1, ..., 0.
-    x = eta_arr.item()
-    p = ((x - b[m::-1]) / a[m::-1]).tolist()
-    q = (a[m::-1] / a[m + 1:0:-1]).tolist()
-    rev = coeffs[::-1]
-    sums = []
-    for col in rev.T.tolist() if matrix else [rev.tolist()]:
-        y = y2 = 0.0
-        for cj, pj, qj in zip(col, p, q):
-            y, y2 = cj + pj * y - qj * y2, y
-        sums.append(y / h0)
-    if matrix:
-        return np.array(sums)
-    return sums[0] if eta_arr.ndim == 0 else np.reshape(sums[0], eta_arr.shape)
+    value = ynext / h0
+    return float(value) if eta_arr.ndim == 0 else np.reshape(value, eta_arr.shape)
 
 
 _SERIES_CUTOFF = 2.0

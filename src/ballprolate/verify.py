@@ -371,14 +371,15 @@ def suite_orthonormality() -> VerificationReport:
 
 
 def suite_bounds() -> VerificationReport:
-    """Strict eigenvalue enclosure and monotone ordering on the standard grid
-    extended by d in {1, 5}.
+    """Strict eigenvalue enclosure, monotone ordering and both bounds on
+    lambda on the standard grid extended by d in {1, 5}.
 
-    Metrics are signed margins normalized by c^2 (enclosure) or by the
-    quantity itself (ordering); a non-positive margin passes.  The monotone
-    decay of lambda in k is checked for alpha >= 0 only: for strongly
-    negative exponents it provably fails at large bandwidth (three
-    independent routes agree that e.g. alpha = -1/2, c = 10, d = 2 has
+    Metrics are signed margins normalized by c^2 (enclosure), by the
+    quantity itself (ordering) or by the bound; a non-positive margin passes.
+    The monotone decay of lambda in k, and the Plancherel bound
+    (2 pi/c)^(d/2), are checked for alpha >= 0 only: for strongly negative
+    exponents decay provably fails at large bandwidth (three independent
+    routes agree that e.g. alpha = -1/2, c = 10, d = 2 has
     lambda_1 > lambda_0), while positivity holds throughout.
     """
     combos = list(_hankel_grid()) + [
@@ -408,6 +409,12 @@ def _bounds_cases(family):
         yield ({"check": "lambda_decreasing"},
                float(np.max((lams[1:] - lams[:-1]) / lams[:-1])), BOUNDS_TOL)
     yield {"check": "lambda_positive"}, float(np.max(-lams)), BOUNDS_TOL
+    log_b = (0.5 * p.d * math.log(math.pi) + math.lgamma(p.alpha + 1.0)
+             - math.lgamma(p.alpha + p.d / 2.0 + 1.0))
+    yield {"check": "weight_integral"}, float(np.max(lams / math.exp(log_b) - 1.0)), BOUNDS_TOL
+    if p.alpha >= 0.0:
+        yield ({"check": "plancherel"},
+               float(np.max(lams * (0.5 * p.c / math.pi) ** (0.5 * p.d) - 1.0)), BOUNDS_TOL)
 
 
 def suite_perturbation() -> VerificationReport:

@@ -57,11 +57,8 @@ def jacobi_ab_reference(alpha, beta, j):
 
 def clenshaw_reference(basis, coeffs, eta):
     """Clenshaw sum with NumPy operations on eta as an array of any shape,
-    as a reference that the scalar fast path must match bit for bit.  A 2-d
-    coefficient matrix is summed column by column at a scalar eta."""
+    as a reference that the scalar fast path must match bit for bit."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 2 and coeffs.size and np.ndim(eta) == 0:
-        return np.array([clenshaw_reference(basis, col, eta) for col in coeffs.T])
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(coeffs)):

@@ -8,8 +8,9 @@ well-characterized sub-cases: it asserts monotone decay of lambda in k on
 every family, which is genuinely false for the weight exponent -1/2 at large
 bandwidth (8 families, all alpha = -1/2, c >= 5).  At d = 2, alpha = -1/2,
 c = 10 the first three lambdas increase, confirmed by three mutually
-independent routes (endpoint formula, the integral eigenrelation at 1e-14,
-and a two-dimensional kernel discretization).  The chi part holds everywhere.
+independent routes (coefficient ratios from chi, the integral eigenrelation
+at 1e-14, and a two-dimensional kernel discretization).  The chi part holds
+everywhere.
 
 Criterion 4 holds on all 135 grid points, down to lambda ~ 1e-13 at c = 1:
 hankel_residual sums the integral side in closed form, so its relative

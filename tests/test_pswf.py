@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,10 +28,10 @@ from ballprolate.pswf import (
     truncation_size,
 )
 from ballprolate.specfn import JacobiBasis, _cached_recurrence
+import oracle
 from helpers import (
     BIT_IDENTITY_GRID,
     bit_identity_families,
-    clenshaw_reference,
     jacobi_coeffs,
     sign_pass_reference,
     sign_rule_reference,
@@ -394,29 +395,57 @@ class TestLambda:
         assert lambda_eigenvalue(flipped) == pytest.approx(lambda_eigenvalue(f), rel=1e-13)
 
     def test_sign_convention_violation_raises(self):
-        # beta_0 < 0 with phi(-1) > 0 cannot occur under the solver's sign
-        # rule; lambda_eigenvalue must flag such a vector.
+        # Mode 1's chi and row relabelled as k = 0: the (-1)^k factor no
+        # longer cancels the endpoint sign, so lambda comes out negative.
+        mode1 = solve_pswfs(2, 0.0, 5.0, 0, 1)[1]
+        params = PswfParams(d=2, alpha=0.0, c=5.0, n=0, k=0)
+        relabelled = RadialPswf(params, mode1.chi, mode1.coeffs, mode1.truncation)
+        with pytest.raises(NonPositiveLambda, match=r"-9\.56\d+e-01 .*sign convention violated"):
+            lambda_eigenvalue(relabelled)
+
+    def test_zero_pivot_raises(self):
+        # chi = 0.5 equals the first diagonal entry of the c = 1 disk matrix,
+        # so the forward ratio beta_0/beta_1 divides by an exact zero.
         params = PswfParams(d=2, alpha=0.0, c=1.0, n=0, k=0)
         coeffs = np.array([-0.1, -math.sqrt(1.0 - 0.01)])
         broken = RadialPswf(params=params, chi=0.5, coeffs=coeffs, truncation=1)
-        with pytest.raises(NonPositiveLambda):
+        with pytest.raises(DegenerateEndpoint, match="zero pivot"):
             lambda_eigenvalue(broken)
 
-    def test_vanishing_endpoint_raises(self):
-        params = PswfParams(d=2, alpha=0.0, c=1.0, n=0, k=0)
-        zero = RadialPswf(params=params, chi=0.5, coeffs=np.zeros(3), truncation=2)
-        with pytest.raises(DegenerateEndpoint):
-            lambda_eigenvalue(zero)
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_underflow_raises(self, k):
+        # lambda_k ~ c^(2k): 6.2e-313 (subnormal) at k = 20, 0.0 at k = 40.
+        f = solve_pswfs(2, 0.0, 1e-6, 0, 40)[k]
+        with pytest.raises(DegenerateEndpoint, match="underflow"):
+            lambda_eigenvalue(f)
 
     def test_above_weight_integral_bound_raises(self):
-        # phi(-1) cut to a tenth of beta_0 P~_0(-1) gives lambda = 10 pi,
-        # ten times the disk's bound pi.
+        # chi = 9.05 is no eigenvalue of the c = 1 disk matrix; near it
+        # phi(-1)/beta_0 nearly vanishes and lambda = 40.1 > pi.
         params = PswfParams(d=2, alpha=0.0, c=1.0, n=0, k=0)
-        a0, b0, _ = jacobi_coeffs(params.basis, 0)
-        coeffs = np.array([1.0, 0.9 * a0 / (1.0 + b0)])
-        over = RadialPswf(params=params, chi=0.5, coeffs=coeffs, truncation=1)
+        over = RadialPswf(params=params, chi=9.05, coeffs=np.array([1.0, 0.0]), truncation=1)
         with pytest.raises(DegenerateEndpoint, match=r"exceeds the weight-integral bound 3\.141593e\+00"):
             lambda_eigenvalue(over)
+
+    def test_above_plancherel_bound_raises(self):
+        # chi = -5 lies below the spectrum; lambda = 1.25 is below the
+        # weight integral pi but above (2 pi/c)^(d/2) = 0.628 at c = 10.
+        # For alpha < 0 only the weight integral (2 pi there) bounds lambda.
+        coeffs = np.array([1.0, 0.0])
+        over = RadialPswf(PswfParams(d=2, alpha=0.0, c=10.0, n=0, k=0), -5.0, coeffs, 1)
+        with pytest.raises(DegenerateEndpoint, match=r"the Plancherel bound 6\.283185e-01"):
+            lambda_eigenvalue(over)
+        negative = RadialPswf(PswfParams(d=2, alpha=-0.5, c=10.0, n=0, k=0), -5.0, coeffs, 1)
+        assert 2.0 * math.pi / 10.0 < lambda_eigenvalue(negative) < 2.0 * math.pi
+
+    def test_unconverged_tail_raises(self):
+        # At c = 1e4 the off-diagonal c^2/8 swamps the diagonal's growth over
+        # the first rows, so with K = 1 the terms of phi(-1)/beta_m do not
+        # decay before K' = 8 (K+1).
+        params = PswfParams(d=2, alpha=0.0, c=1e4, n=0, k=0)
+        wide = RadialPswf(params=params, chi=2.5e7, coeffs=np.array([1.0, 0.0]), truncation=1)
+        with pytest.raises(TruncationNotConverged, match="K'=16"):
+            lambda_eigenvalue(wide)
 
     @pytest.mark.parametrize("d,alpha", [(2, 0.0), (2, 1.0), (3, 0.0), (5, -0.5), (8, 3.0)])
     def test_bound_slack_admits_tiny_bandwidth(self, d, alpha):
@@ -429,6 +458,7 @@ class TestLambda:
         family = solve_pswfs(3, 1.0, 2.0, 1, 4)
         lams = lambda_eigenvalue(family)
         assert isinstance(lams, np.ndarray) and lams.shape == (5,)
+        assert lams.tolist() == [lambda_eigenvalue(f) for f in family]
         assert isinstance(lambda_eigenvalue(family[0]), float)
         assert lambda_eigenvalue(family[2:3]).tolist() == [lambda_eigenvalue(family[2])]
 
@@ -446,14 +476,14 @@ class TestLambda:
             lambda_eigenvalue([family[0], longer[1]])
 
     def test_family_call_raises_first_failing_mode(self):
-        # beta_0 negated in modes 3 and 5 makes both lambdas negative; the
-        # family call must fail at mode 3, as a per-mode loop would.
+        # Modes 3 and 5 carry the chi and row of modes 4 and 6, so both
+        # lambdas come out negative; the family call must fail at mode 3, as
+        # a per-mode loop would.
         family = solve_pswfs(2, 0.0, 5.0, 0, 6)
         broken = list(family)
         for k in (3, 5):
-            coeffs = family[k].coeffs.copy()
-            coeffs[0] = -coeffs[0]
-            broken[k] = dataclasses.replace(family[k], coeffs=coeffs)
+            broken[k] = RadialPswf(family[k].params, family[k + 1].chi,
+                                   family[k + 1].coeffs, family[k + 1].truncation)
         with pytest.raises(NonPositiveLambda) as per_mode:
             lambda_eigenvalue(broken[3])
         with pytest.raises(NonPositiveLambda):
@@ -488,28 +518,29 @@ class TestLargeBandwidth:
 
 class TestLambdaBitIdentity:
     @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
-    def test_endpoint_formula_matches_reference(self, d, alpha, c, monkeypatch):
-        families = bit_identity_families(d, alpha, c)
-        fast = [[lambda_eigenvalue(f) for f in family] for family in families]
-        monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
-        assert fast == [[lambda_eigenvalue(f) for f in family] for family in families]
+    def test_endpoint_formula_matches_reference(self, d, alpha, c):
+        # The reference is the same formula with K' doubled: padding the
+        # coefficients with K+1 zeros starts K' at 2(K+1) and keeps the
+        # twist index, and on this grid the tail past K+1 changes no bit.
+        for family in bit_identity_families(d, alpha, c):
+            K = family[0].truncation
+            padded = [RadialPswf(f.params, f.chi, np.concatenate([f.coeffs, np.zeros(K + 1)]),
+                                 2 * K + 1) for f in family]
+            assert lambda_eigenvalue(family).tobytes() == lambda_eigenvalue(padded).tobytes()
 
     @pytest.mark.parametrize("d,alpha,c", BIT_IDENTITY_GRID)
-    def test_family_call_matches_per_mode_calls(self, d, alpha, c, monkeypatch):
+    def test_family_call_matches_per_mode_calls(self, d, alpha, c):
         families = bit_identity_families(d, alpha, c)
         per_mode = [np.array([lambda_eigenvalue(f) for f in family]).tobytes()
                     for family in families]
-        assert [lambda_eigenvalue(family).tobytes() for family in families] == per_mode
-        monkeypatch.setattr(pswf_module, "clenshaw", clenshaw_reference)
         assert [lambda_eigenvalue(family).tobytes() for family in families] == per_mode
 
 
 class TestBlockLambdas:
     def test_block_rows_match_stacked_rows(self):
         # The modes of one solve are views into their family's block; deep
-        # copies own their coefficients.  lambda_eigenvalue stacks the rows
-        # of either, and both give the same bytes for any choice and order
-        # of modes.
+        # copies own their coefficients.  Both give the same bytes for any
+        # choice and order of modes.
         family = solve_pswfs(3, 1.0, 20.0, 2, 12)
         copies = copy.deepcopy(family)
         assert all(f.coeffs.base is family[0].coeffs.base for f in family)
@@ -520,6 +551,89 @@ class TestBlockLambdas:
             assert block.tobytes() == stacked.tobytes()
         assert lambda_eigenvalue(family[2:5]).tobytes() == lambda_eigenvalue(copies[2:5]).tobytes()
         assert lambda_eigenvalue(family[4]) == lambda_eigenvalue(copies[4])
+
+
+# (d, alpha, c, n, k): the large-bandwidth k = 0 modes where reading beta_0
+# off the eigenvector failed, modes where chi rounds onto a diagonal entry,
+# a row each of tables 1 and 3, and tail modes with lambda down to 1e-262.
+ORACLE_MODES = [
+    (2, 0.0, 400.0, 60, 0),
+    (1, 3.0, 40.0, 0, 56),
+    (3, -0.9, 200.0, 100, 0),
+    (3, 1.0, 1e-4, 1, 1),
+    (2, 0.0, 1e-9, 0, 0),
+    (2, 0.0, 2.0, 1, 3),
+    (3, 1.0, 2.0, 1, 2),
+    (5, 1.0, 0.1, 3, 40),
+    (2, -0.5, 25.0, 0, 30),
+    (1, 0.0, 12.0, 1, 20),
+]
+
+
+class TestLambdaOracle:
+    @pytest.mark.parametrize("d,alpha,c,n,k", ORACLE_MODES)
+    def test_matches_extended_precision(self, d, alpha, c, n, k):
+        f = solve_pswfs(d, alpha, c, n, k)[k]
+        chi, lam = oracle.mode(d, alpha, c, n, k, 2 * (f.truncation + 1), hint=f.chi)
+        assert f.chi == pytest.approx(float(chi), rel=1e-14, abs=1e-14)
+        assert lambda_eigenvalue(f) == pytest.approx(float(lam), rel=1e-12)
+
+    def test_disk_reaches_large_bandwidth_limit(self):
+        # The oracle and the limit 2 pi/c agree at c = 400; the endpoint
+        # formula on the LAPACK eigenvector gave 6.76e-2 here.
+        lam = lambda_eigenvalue(solve_pswfs(2, 0.0, 400.0, 60, 0)[0])
+        assert lam == pytest.approx(2.0 * math.pi / 400.0, rel=1e-12)
+
+    def test_oracle_negative_control(self):
+        # The oracle tells neighbouring modes apart: lambda_1 is not lambda_0.
+        f = solve_pswfs(3, 1.0, 2.0, 1, 1)[1]
+        _, lam0 = oracle.mode(3, 1.0, 2.0, 1, 0, 2 * (f.truncation + 1))
+        assert lambda_eigenvalue(f) != pytest.approx(float(lam0), rel=1e-3)
+
+
+def robustness_families():
+    """The standing sweep: 400 seeded families reaching d = 20, alpha = 60,
+    c = 1000, n = 100 and k_max = 80."""
+    rng = random.Random(7)
+    for _ in range(400):
+        d = rng.choice((1, 2, 3, 4, 6, 10, 20))
+        alpha = rng.choice((-0.9, -0.5, 0.0, 0.5, 3.0, 20.0, 60.0))
+        c = rng.choice((0.0, 1e-6, 0.3, 5.0, 40.0, 200.0, 1000.0))
+        n = rng.choice((0, 1) if d == 1 else (0, 1, 5, 30, 100))
+        yield d, alpha, c, n, rng.choice((0, 3, 20, 80))
+
+
+class TestRobustnessSweep:
+    def test_every_mode_is_accurate_or_underflows(self):
+        # Every mode with c > 0 either returns a lambda within both bounds
+        # that a doubled K' reproduces to 1e-12, or raises the underflow
+        # error.  Padding the coefficients with K+1 zeros starts K' at 2(K+1)
+        # without changing the twist index.
+        modes = 0
+        for d, alpha, c, n, k_max in robustness_families():
+            family = solve_pswfs(d, alpha, c, n, k_max)
+            if c == 0.0:
+                continue
+            bound = lambda0_limit(d, alpha, 0)
+            if alpha >= 0.0:
+                bound = min(bound, (2.0 * math.pi / c) ** (d / 2.0))
+            K = family[0].truncation
+            lams, padded = [], []
+            for f in family:
+                try:
+                    lams.append(lambda_eigenvalue(f))
+                except DegenerateEndpoint as exc:
+                    assert "underflow" in str(exc), str(exc)
+                    continue
+                padded.append(RadialPswf(f.params, f.chi,
+                                         np.concatenate([f.coeffs, np.zeros(K + 1)]), 2 * K + 1))
+                assert 0.0 < lams[-1] <= bound * (1.0 + 1e-12), f.params
+            if padded:
+                np.testing.assert_allclose(lambda_eigenvalue(padded), lams, rtol=1e-12, atol=0)
+            modes += len(family)
+        # The count pins the recipe; 1429 of these modes underflow with
+        # NumPy 2.4 and SciPy 1.17.
+        assert modes == 8205
 
 
 class TestRecurrenceReuse:
@@ -630,21 +744,15 @@ class TestChiBounds:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_bounds_and_ordering_grid(self, d, alpha, c):
-        # lambda decays like c^(n+2k); below ~1e-12 the endpoint formula runs
-        # into the eigenvector rounding floor, so lambda assertions stop
-        # there (the enclosure of chi is checked on the whole grid).  The
-        # monotone decay of lambda holds for alpha >= 0; see
+        # lambda decays like c^(n+2k), down to 4e-37 here; the ratio route
+        # resolves it on the whole grid.  The monotone decay of lambda holds
+        # for alpha >= 0; see
         # test_lambda_ordering_counterexample_at_negative_alpha.
         for n in range(2 if d == 1 else 4):
             family = solve_pswfs(d, alpha, c, n, 8)
             chis = [f.chi for f in family]
             assert all(x < y for x, y in zip(chis, chis[1:]))
-            lams = []
-            for f in family:
-                lam = lambda_eigenvalue(f)
-                lams.append(lam)
-                if lam < 1e-12:
-                    break
+            lams = lambda_eigenvalue(family).tolist()
             assert all(x > 0.0 for x in lams)
             if alpha >= 0.0:
                 assert all(x > y for x, y in zip(lams, lams[1:]))

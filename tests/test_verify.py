@@ -78,7 +78,7 @@ class TestHankelResidual:
     @pytest.mark.parametrize("d,alpha", [(2, 0.0), (3, 1.0), (2, -0.5)])
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_route_agreement(self, d, alpha, c):
-        # lambda from the endpoint formula against the least-squares fit of
+        # lambda from the coefficient ratios against the least-squares fit of
         # the integral route, on every mode.
         for n in range(2):
             for f in solve_pswfs(d, alpha, c, n, 2):
