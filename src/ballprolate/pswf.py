@@ -145,7 +145,8 @@ def gamma_coef(m, alpha: float, d: int):
 
 
 def truncation_size(d: int, alpha: float, n: int, k_max: int) -> int:
-    """Expansion truncation K for resolving radial indices up to k_max.
+    """Upper starting truncation K of solve_pswfs for radial indices up to
+    k_max, and the floor of its cap max(truncation_size, 2048).
 
     With N = n + 2 k_max the cut-off is M = ceil(2N + 2 alpha) + 30 expansion
     degrees, i.e. K = ceil((M - n)/2) Jacobi coefficients.
@@ -172,7 +173,8 @@ def _matrix_entries(d: int, alpha: float, c: float, n: int, K: int):
     """Diagonal and off-diagonal of build_matrix, for a validated family."""
     a, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), K)
     half_c2 = 0.5 * c * c
-    diag = gamma_coef(n + 2 * np.arange(K + 1), alpha, d) + (b + 1.0) * half_c2
+    m = n + 2 * np.arange(K + 1)
+    diag = m * (m + 2.0 * alpha + d) + (b + 1.0) * half_c2
     return diag, a[:-1] * half_c2
 
 
@@ -215,21 +217,22 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
 
     The k_max+1 smallest eigenpairs of the matrix truncated at K are
     returned in ascending chi, each with its residual certificate
-    r_k = |A[K, K+1]| |v_k[K]| against the untruncated operator.  K starts
-    at truncation_size and grows with c, jumping first to
-    ceil(c/2) + k_max + 20 and then by a factor 1.25, re-solving until
-    max_k r_k <= 1e-15 max_k |chi_k|.  Bandwidths in the hundreds solve this
-    way; a family whose certificate holds at truncation_size takes exactly
-    one eigensolve.  TruncationNotConverged means K reached its cap,
-    max(truncation_size, 2048), without the certificate holding.
+    r_k = |A[K, K+1]| |v_k[K]| against the untruncated operator.  With
+    J = ceil(c/2) + k_max + 20, past which the coefficients of modes up to
+    k_max are negligible, K starts at min(truncation_size, J), grows to J and
+    then by a factor 1.25, re-solving until max_k r_k <= 1e-15 max_k |chi_k|;
+    a family certified at its starting K takes exactly one eigensolve.
+    TruncationNotConverged means K reached its cap, max(truncation_size,
+    2048), without the certificate holding.
 
     The family is validated once, and the modes share one read-only
     coefficient block: mode k's coeffs is its row k.
     """
     _validate_family(d, alpha, c, n)
     _validate_count(k_max, "k_max")
-    K = _truncation_size(alpha, n, k_max)
-    cap = max(K, _TRUNCATION_CAP)
+    upper = _truncation_size(alpha, n, k_max)
+    cap, J = max(upper, _TRUNCATION_CAP), math.ceil(c / 2) + k_max + 20
+    K = min(upper, J)
     while True:
         diag, offdiag = _matrix_entries(d, alpha, c, n, K + 1)
         values, vectors = eig_symtridiag(TridiagonalSym(diag[:-1], offdiag[:-1]))
@@ -245,7 +248,7 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
                 f"k_max={k_max}) failed at the cap K={K}: worst r_k/max|chi| = "
                 f"{residual[k] / scale:.3e} at k={k}"
             )
-        K = min(cap, max(math.ceil(1.25 * K), math.ceil(c / 2) + k_max + 20))
+        K = min(cap, max(math.ceil(1.25 * K), J))
     rows = _apply_sign_rule(vectors, k_max + 1)
     return _solved_modes(d, alpha, c, n, K, values, rows)
 

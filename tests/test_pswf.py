@@ -27,7 +27,8 @@ from ballprolate.pswf import (
     solve_pswfs,
     truncation_size,
 )
-from ballprolate.specfn import JacobiBasis, _cached_recurrence
+from ballprolate.specfn import JacobiBasis, _cached_recurrence, _recurrence_arrays
+from ballprolate.verify import recurrence_residual
 import oracle
 from helpers import (
     BIT_IDENTITY_GRID,
@@ -90,6 +91,17 @@ class TestBuildMatrix:
         tri = build_matrix(3, 1.0, 0.0, 1, 3)
         assert tri.diag[1] == pytest.approx(24.0, rel=1e-15)
 
+    @pytest.mark.parametrize("d,alpha,c,n,K", [
+        (2, 0.0, 1.0, 0, 40), (3, 1.0, 10.0, 2, 41), (1, -0.5, 7.0, 1, 9),
+        (5, 2.5, 60.0, 2, 53), (20, 60.0, 1000.0, 100, 300),
+    ])
+    def test_diagonal_matches_gamma_coef_bytes(self, d, alpha, c, n, K):
+        # The inlined Sturm-Liouville term is gamma_coef's expression, so the
+        # diagonal keeps its bytes.
+        _, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), K)
+        expected = gamma_coef(n + 2 * np.arange(K + 1), alpha, d) + (b + 1.0) * (0.5 * c * c)
+        assert build_matrix(d, alpha, c, n, K).diag.tobytes() == expected.tobytes()
+
     def test_validation(self):
         for K in (3.5, 3.0, -1):
             with pytest.raises(ValueError, match="truncation K must be a non-negative integer"):
@@ -104,6 +116,14 @@ def _eig_with_sign_pass(tri):
 
 def _family_bytes(family):
     return [(f.chi, f.truncation, f.coeffs.tobytes()) for f in family]
+
+
+def _certificate_holds(family):
+    """max_k |A[K, K+1]| |v_k[K]| <= 1e-15 max_k |chi_k|, recomputed from
+    the matrix one row wider than the family's truncation K."""
+    p, K = family[0].params, family[0].truncation
+    coupling = abs(build_matrix(p.d, p.alpha, p.c, p.n, K + 1).offdiag[K])
+    return max(coupling * abs(f.coeffs[K]) for f in family) <= 1e-15 * max(abs(f.chi) for f in family)
 
 
 class TestSolve:
@@ -187,7 +207,8 @@ class TestSolve:
         monkeypatch.setattr(pswf_module, "eig_symtridiag", _eig_with_sign_pass)
         assert fast == _family_bytes(solve_pswfs(2, 0.0, 20.0, 0, 370))
 
-    def test_certificate_at_floor_takes_one_eigensolve(self, monkeypatch):
+    @staticmethod
+    def _spy_eigensolves(monkeypatch):
         calls = []
         original = scipy.linalg.eigh_tridiagonal
 
@@ -196,9 +217,34 @@ class TestSolve:
             return original(diag, offdiag, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        return calls
+
+    def test_certificate_at_floor_takes_one_eigensolve(self, monkeypatch):
+        calls = self._spy_eigensolves(monkeypatch)
         K = truncation_size(3, 1.0, 2, 4)
         assert solve_pswfs(3, 1.0, 10.0, 2, 4)[0].truncation == K
         assert calls == [(K + 1, False)]
+
+    def test_lower_start_takes_one_eigensolve(self, monkeypatch):
+        # K starts at ceil(c/2) + k_max + 20 = 221, below truncation_size =
+        # 415, and the certificate holds there.
+        calls = self._spy_eigensolves(monkeypatch)
+        family = solve_pswfs(2, 0.0, 1.0, 0, 200)
+        K = family[0].truncation
+        assert (K, truncation_size(2, 0.0, 0, 200)) == (221, 415)
+        assert calls == [(K + 1, False)]
+        assert _certificate_holds(family)
+        reference, _ = eig_symtridiag(build_matrix(2, 0.0, 1.0, 0, 415))
+        np.testing.assert_allclose([f.chi for f in family], reference[:201], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("k", [0, 15, 30])
+    def test_lower_start_matches_oracle(self, k):
+        # truncation_size gives K = 77 here; the lower start solves at 51.
+        f = solve_pswfs(3, 1.0, 2.0, 1, 30)[k]
+        assert (f.truncation, truncation_size(3, 1.0, 1, 30)) == (51, 77)
+        chi, lam = oracle.mode(3, 1.0, 2.0, 1, k, 2 * (f.truncation + 1), hint=f.chi)
+        assert f.chi == pytest.approx(float(chi), rel=1e-14, abs=1e-14)
+        assert lambda_eigenvalue(f) == pytest.approx(float(lam), rel=1e-12)
 
     def test_certificate_failure_at_cap_raises(self, monkeypatch):
         # Negative control: c = 30 needs K > 15, so with growth capped at the
@@ -217,11 +263,8 @@ class TestSolve:
     ])
     def test_grown_family_carries_certificate(self, d, alpha, c, n, k_max):
         family = solve_pswfs(d, alpha, c, n, k_max)
-        K = family[0].truncation
-        assert K > truncation_size(d, alpha, n, k_max)
-        coupling = abs(build_matrix(d, alpha, c, n, K + 1).offdiag[K])
-        residual = max(coupling * abs(f.coeffs[K]) for f in family)
-        assert residual <= 1e-15 * max(abs(f.chi) for f in family)
+        assert family[0].truncation > truncation_size(d, alpha, n, k_max)
+        assert _certificate_holds(family)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -605,13 +648,21 @@ def robustness_families():
 
 class TestRobustnessSweep:
     def test_every_mode_is_accurate_or_underflows(self):
-        # Every mode with c > 0 either returns a lambda within both bounds
-        # that a doubled K' reproduces to 1e-12, or raises the underflow
-        # error.  Padding the coefficients with K+1 zeros starts K' at 2(K+1)
-        # without changing the twist index.
+        # Every family carries its residual certificate and a recurrence
+        # residual at rounding level: 204 of the 400 families, most of those
+        # at alpha = 60 or n = 100, start K below truncation_size.  LAPACK's
+        # vectors have residual O(eps max|A|), which for low modes of wide
+        # families exceeds eps (|chi| + c^2): mode 4 of (1, -0.9, 5, 0, 80)
+        # reads 1.43e-13 at K = 103, so the recurrence bound here is 1e-12
+        # rather than verify's 1e-13.  Every mode with c > 0 either returns
+        # a lambda within both bounds that a doubled K' reproduces to 1e-12,
+        # or raises the underflow error.  Padding the coefficients with K+1
+        # zeros starts K' at 2(K+1) without changing the twist index.
         modes = 0
         for d, alpha, c, n, k_max in robustness_families():
             family = solve_pswfs(d, alpha, c, n, k_max)
+            assert _certificate_holds(family), (d, alpha, c, n)
+            assert max(recurrence_residual(f) for f in family) <= 1e-12, (d, alpha, c, n)
             if c == 0.0:
                 continue
             bound = lambda0_limit(d, alpha, 0)
