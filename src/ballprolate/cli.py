@@ -201,8 +201,13 @@ def _float_records(table: np.ndarray) -> str:
     return text.ravel()[keep.ravel()].tobytes().decode("ascii")
 
 
+# Bound on the points of one --r grid, checked before the grid is allocated.
+_GRID_MAX_POINTS = 10 ** 7
+
+
 def _parse_grid(spec: str) -> np.ndarray:
-    """Colon grid start:step:stop, endpoints inclusive."""
+    """Colon grid start:step:stop, endpoints inclusive, of at most
+    _GRID_MAX_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}")
@@ -217,6 +222,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     count = int(math.floor(span + 1e-9)) + 1
     if count < 1:
         raise ValueError(f"grid {spec!r} contains no points")
+    if count > _GRID_MAX_POINTS:
+        raise ValueError(
+            f"grid {spec!r} has {count} points, more than the bound of {_GRID_MAX_POINTS}"
+        )
     return start + step * np.arange(count)
 
 
@@ -353,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="sample the radial profile on an r grid")
     add_family_args(p, with_kmax=False)
     p.add_argument("--form", choices=("plain", "slepian", "phi"), default="plain")
-    p.add_argument("--r", required=True, help="radius grid start:step:stop, inclusive")
+    p.add_argument("--r", required=True,
+                   help="radius grid start:step:stop, inclusive, of at most 10^7 points")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eval-ball", help="evaluate the full eigenfunction at points")

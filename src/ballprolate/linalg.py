@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,14 +95,34 @@ def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+# Bound on the cached Gauss-Jacobi rules.  A family's Gram check asks for
+# (alpha, beta_n, 2K) and every Rayleigh check for (0, 0, radial_nodes), so a
+# few entries cover the families and node counts a caller works on at once.
+_RULE_CACHE_SIZE = 32
+
+
 def gauss_jacobi(alpha: float, beta: float, m: int) -> QuadratureRule:
     """m-point Gauss-Jacobi rule by Golub-Welsch on the recurrence matrix.
 
     Exact for polynomials of degree <= 2m-1 against (1-eta)^alpha (1+eta)^beta;
     the weights are the squared first eigenvector components scaled by the
     zeroth moment 2^(alpha+beta+1) B(alpha+1, beta+1).
+
+    Each rule is computed once per (alpha, beta, m) and kept in a bounded LRU
+    cache of _RULE_CACHE_SIZE entries, so repeated calls return the same
+    QuadratureRule object.  Callers share it: it is frozen and its nodes and
+    weights are read-only.  The key also holds the signs of alpha and beta,
+    so that a cache hit returns the bytes a fresh computation would.
     """
     _validate_count(m, "node count m", 1)
+    alpha, beta = float(alpha), float(beta)
+    signs = (math.copysign(1.0, alpha), math.copysign(1.0, beta))
+    return _cached_rule(alpha, beta, int(m), signs)
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _cached_rule(alpha: float, beta: float, m: int, signs) -> QuadratureRule:
+    # signs only splits the cache key; see gauss_jacobi.
     a, b = _recurrence_arrays(JacobiBasis(alpha, beta), m - 1)
     nodes, vectors = eig_symtridiag(TridiagonalSym(b, a[:-1]))
     mu0 = math.exp(

@@ -35,14 +35,14 @@ from .geometry import kernel_qc
 from .linalg import _validate_count, gauss_jacobi
 from .pswf import (
     RadialPswf,
-    build_matrix,
+    _matrix_entries,
     chi_bounds,
     gamma_coef,
     lambda_eigenvalue,
     perturbation_coeffs,
     solve_pswfs,
 )
-from .specfn import _bessel_j_family, _norm_const, clenshaw
+from .specfn import _bessel_j_family, _norm_const, clenshaw, jacobi_eval
 
 __all__ = [
     "CaseResult",
@@ -184,7 +184,10 @@ def orthonormality_gram(pswfs: list[RadialPswf]) -> float:
 
     All members must share (d, alpha, c, n).  Entries are
     2^-(alpha+beta_n+2) int phi_a phi_b w_(alpha, beta_n) d(eta) on a rule of
-    twice the truncation size.
+    twice the largest truncation K.  The family is evaluated in one pass: its
+    coefficient vectors, zero-padded to length K+1, form one block, and the
+    samples are that block times the basis values P~_0..P~_K taken once on
+    the rule's nodes.
     """
     if not pswfs:
         raise ValueError("need at least one solved eigenfunction")
@@ -192,21 +195,27 @@ def orthonormality_gram(pswfs: list[RadialPswf]) -> float:
     if len(heads) != 1:
         raise ValueError(f"family members must share (d, alpha, c, n), got {heads}")
     p = pswfs[0].params
-    size = 2 * max(f.truncation for f in pswfs)
-    rule = gauss_jacobi(p.alpha, p.beta_n, size)
-    samples = np.vstack([clenshaw(f.basis, f.coeffs, rule.nodes) for f in pswfs])
+    K = max(f.truncation for f in pswfs)
+    rule = gauss_jacobi(p.alpha, p.beta_n, 2 * K)
+    block = np.zeros((len(pswfs), K + 1))
+    for row, f in zip(block, pswfs):
+        row[:f.truncation + 1] = f.coeffs
+    samples = block @ jacobi_eval(pswfs[0].basis, K, rule.nodes)
     gram = 2.0 ** (-(p.alpha + p.beta_n + 2.0)) * (samples * rule.weights) @ samples.T
     return float(np.max(np.abs(gram - np.eye(len(pswfs)))))
 
 
 def recurrence_residual(pswf: RadialPswf) -> float:
     """Max residual of the three-term coefficient recurrence, normalized by
-    |chi| + c^2 (zero when the raw residual is exactly zero)."""
+    |chi| + c^2 (zero when the raw residual is exactly zero).  The matrix
+    entries are the solver's own, built from its cached recurrence arrays
+    without build_matrix's checks, which the mode's parameters passed when
+    the mode was made."""
     p = pswf.params
-    tri = build_matrix(p.d, p.alpha, p.c, p.n, pswf.truncation)
+    diag, offdiag = _matrix_entries(p.d, p.alpha, p.c, p.n, pswf.truncation)
     beta = np.concatenate(([0.0], pswf.coeffs, [0.0]))
-    off = np.concatenate(([0.0], tri.offdiag, [0.0]))
-    res = (tri.diag - pswf.chi) * beta[1:-1] + off[:-1] * beta[:-2] + off[1:] * beta[2:]
+    off = np.concatenate(([0.0], offdiag, [0.0]))
+    res = (diag - pswf.chi) * beta[1:-1] + off[:-1] * beta[:-2] + off[1:] * beta[2:]
     worst = float(np.max(np.abs(res)))
     denom = abs(pswf.chi) + p.c * p.c
     if worst == 0.0:

@@ -14,7 +14,7 @@ from ballprolate.geometry import (
     sph_harm_eval,
 )
 from ballprolate.linalg import gauss_jacobi
-from ballprolate.pswf import solve_pswfs
+from ballprolate.pswf import build_matrix, solve_pswfs
 from ballprolate.specfn import (
     JacobiBasis,
     _norm_const,
@@ -113,6 +113,31 @@ def bit_identity_families(d, alpha, c, k_max=12):
     """Solved families (d, alpha, c, n, k_max) for every n <= 2 (n <= 1 at
     d = 1)."""
     return [solve_pswfs(d, alpha, c, n, k_max) for n in range(2 if d == 1 else 3)]
+
+
+def orthonormality_gram_reference(pswfs):
+    """Gram deviation with one clenshaw call per mode on the rule of twice
+    the largest truncation, as a reference for the one-pass
+    verify.orthonormality_gram."""
+    p = pswfs[0].params
+    rule = gauss_jacobi(p.alpha, p.beta_n, 2 * max(f.truncation for f in pswfs))
+    samples = np.vstack([clenshaw(f.basis, f.coeffs, rule.nodes) for f in pswfs])
+    gram = 2.0 ** (-(p.alpha + p.beta_n + 2.0)) * (samples * rule.weights) @ samples.T
+    return float(np.max(np.abs(gram - np.eye(len(pswfs)))))
+
+
+def recurrence_residual_reference(pswf):
+    """Recurrence residual on the public build_matrix, as a reference for
+    verify.recurrence_residual, which reads the cached matrix entries."""
+    p = pswf.params
+    tri = build_matrix(p.d, p.alpha, p.c, p.n, pswf.truncation)
+    beta = np.concatenate(([0.0], pswf.coeffs, [0.0]))
+    off = np.concatenate(([0.0], tri.offdiag, [0.0]))
+    res = (tri.diag - pswf.chi) * beta[1:-1] + off[:-1] * beta[:-2] + off[1:] * beta[2:]
+    worst = float(np.max(np.abs(res)))
+    if worst == 0.0:
+        return 0.0
+    return worst / (abs(pswf.chi) + p.c * p.c)
 
 
 def kernel_qc_quadrature(d, alpha, c, rho):

@@ -322,6 +322,24 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["params"]["alpha"] == -1e-3
 
+    # The mu of row k = 38 of this family is subnormal, 1.67e-310, where the
+    # spacing of doubles is about 3e-14 of the value.
+    SUBNORMAL_MU = ("--dim=5", "--alpha=-0.5", "--c=1.1539329460506336", "--n=0",
+                    "--k-max=40")
+
+    def test_subnormal_mu_is_the_square_of_lambda(self, capsys):
+        code, out, _ = run(capsys, "solve", *self.SUBNORMAL_MU, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert 0.0 < rows[38]["mu"] < sys.float_info.min
+        assert all(r["mu"] == r["lambda"] * r["lambda"] for r in rows)
+        # Each CSV mu is the square of the double lambda, formatted; the
+        # 16-digit lambda of the CSV does not square to it at a subnormal mu.
+        code, out, _ = run(capsys, "solve", *self.SUBNORMAL_MU)
+        assert code == 0
+        mus = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
+        assert mus == ["%.15e" % (r["lambda"] * r["lambda"]) for r in rows]
+
     def test_usage_exit_code(self, capsys):
         assert main(["solve", "--dim", "2"]) == 2
         assert main(["unknown-command"]) == 2
@@ -366,6 +384,28 @@ class TestEval:
         assert code == 2
         assert f"grid {grid!r}" in err or f"got {grid!r}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("grid", ["0:1e-15:1", f"0:1:{cli._GRID_MAX_POINTS}"])
+    def test_point_count_bound(self, capsys, monkeypatch, grid):
+        code, out, err = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",
+                             "--n", "0", "--k", "0", f"--r={grid}")
+        assert code == 2
+        assert f"grid {grid!r}" in err and f"bound of {cli._GRID_MAX_POINTS}" in err
+        assert out == ""
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used")
+
+        monkeypatch.setattr(cli, "np", NoNumpy())
+        with pytest.raises(ValueError, match="points, more than the bound"):
+            _parse_grid(grid)
+
+    def test_point_count_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_GRID_MAX_POINTS", 5)
+        assert _parse_grid("0:0.25:1").size == 5
+        with pytest.raises(ValueError, match="has 6 points, more than the bound of 5"):
+            _parse_grid("0:0.2:1")
 
 
 class TestEvalBall:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from ballprolate import linalg
 from ballprolate.linalg import QuadratureRule, TridiagonalSym, eig_symtridiag, gauss_jacobi
 from helpers import closed_form_moment
 
@@ -144,3 +145,61 @@ class TestGaussJacobi:
     def test_numpy_integer_node_count(self):
         rule = gauss_jacobi(0.0, 0.0, np.int64(3))
         assert rule.nodes.tobytes() == gauss_jacobi(0.0, 0.0, 3).nodes.tobytes()
+
+
+def fresh_rule(alpha, beta, m):
+    """A rule computed past the cache, as gauss_jacobi computes it on a miss."""
+    signs = (math.copysign(1.0, alpha), math.copysign(1.0, beta))
+    return linalg._cached_rule.__wrapped__(alpha, beta, m, signs)
+
+
+class TestGaussJacobiCache:
+    def test_repeated_calls_share_one_read_only_rule(self):
+        rule = gauss_jacobi(0.5, -0.25, 9)
+        assert gauss_jacobi(0.5, -0.25, 9) is rule
+        for values in (rule.nodes, rule.weights):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_hit_has_the_bytes_of_a_fresh_rule(self):
+        gauss_jacobi(1.0, 0.5, 12)
+        rule = gauss_jacobi(1.0, 0.5, 12)
+        fresh = fresh_rule(1.0, 0.5, 12)
+        assert rule is not fresh
+        assert rule.nodes.tobytes() == fresh.nodes.tobytes()
+        assert rule.weights.tobytes() == fresh.weights.tobytes()
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_signed_zero_has_its_own_entry(self, alpha, beta):
+        signed = gauss_jacobi(alpha, beta, 7)
+        plain = gauss_jacobi(0.0, 0.0, 7)
+        assert signed is not plain
+        assert (math.copysign(1.0, signed.alpha), math.copysign(1.0, signed.beta)) == (
+            math.copysign(1.0, alpha), math.copysign(1.0, beta))
+        for rule, (a, b) in ((signed, (alpha, beta)), (plain, (0.0, 0.0))):
+            fresh = fresh_rule(a, b, 7)
+            assert rule.nodes.tobytes() == fresh.nodes.tobytes()
+            assert rule.weights.tobytes() == fresh.weights.tobytes()
+
+    def test_numpy_integer_node_count_hits_the_int_entry(self):
+        assert gauss_jacobi(0.0, 0.5, np.int64(5)) is gauss_jacobi(0.0, 0.5, 5)
+        assert gauss_jacobi(0.0, 0.5, np.int32(5)) is gauss_jacobi(0.0, 0.5, 5)
+
+    def test_cache_is_bounded(self):
+        size = linalg._RULE_CACHE_SIZE
+        first = gauss_jacobi(0.25, 0.75, 3)
+        for m in range(4, 4 + size):
+            gauss_jacobi(0.25, 0.75, m)
+        assert linalg._cached_rule.cache_info().currsize <= size
+        again = gauss_jacobi(0.25, 0.75, 3)
+        assert again is not first
+        assert again.nodes.tobytes() == first.nodes.tobytes()
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, np.float64(2.0), None])
+    def test_bad_node_count_is_rejected_before_the_cache(self, m):
+        before = linalg._cached_rule.cache_info()
+        with pytest.raises(ValueError, match="node count m must be an integer >= 1"):
+            gauss_jacobi(0.0, 0.0, m)
+        after = linalg._cached_rule.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -20,7 +20,13 @@ from ballprolate.verify import (
     run_suite,
     table_check,
 )
-from helpers import lambda_from_hankel_fit, mu_rayleigh_reference, sphere_fourier_residual
+from helpers import (
+    lambda_from_hankel_fit,
+    mu_rayleigh_reference,
+    orthonormality_gram_reference,
+    recurrence_residual_reference,
+    sphere_fourier_residual,
+)
 
 
 class TestHankelResidual:
@@ -112,6 +118,32 @@ class TestOrthonormality:
         with pytest.raises(ValueError):
             orthonormality_gram(a + b)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("k_max", [0, 3, 10, 40])
+    def test_one_pass_matches_per_mode_clenshaw(self, d, alpha, k_max):
+        for n in range(2 if d == 1 else 4):
+            family = solve_pswfs(d, alpha, 10.0, n, k_max)
+            assert orthonormality_gram(family) == pytest.approx(
+                orthonormality_gram_reference(family), abs=1e-14)
+
+    def test_members_of_different_truncations(self):
+        # The members with the smaller K are zero-padded to the larger one.
+        a = solve_pswfs(2, 0.0, 10.0, 0, 3)
+        b = solve_pswfs(2, 0.0, 10.0, 0, 40)
+        assert a[0].truncation < b[0].truncation
+        mixed = a[:3] + b[3:8]
+        deviation = orthonormality_gram(mixed)
+        assert deviation == pytest.approx(orthonormality_gram_reference(mixed), abs=1e-14)
+        assert deviation < 1e-13
+
+    def test_clenshaw_is_not_called(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("clenshaw called")
+
+        monkeypatch.setattr(verify, "clenshaw", fail)
+        assert orthonormality_gram(solve_pswfs(3, 1.0, 5.0, 1, 10)) < 1e-13
+
 
 class TestRecurrenceResidual:
     def test_solved_families_are_tiny(self):
@@ -121,6 +153,22 @@ class TestRecurrenceResidual:
     def test_zero_bandwidth_is_exact(self):
         for f in solve_pswfs(2, 0.0, 0.0, 0, 3):
             assert recurrence_residual(f) == 0.0
+
+    def test_matches_build_matrix_reference(self):
+        # Every mode of the recurrence suite's families, then of three wider
+        # sweep families.
+        k_max: dict[tuple, int] = {}
+        for case in run_suite("recurrence").cases:
+            p = case.params
+            head = (p["d"], p["alpha"], p["c"], p["n"])
+            k_max[head] = max(k_max.get(head, 0), p["k"])
+        families = [(*head, k) for head, k in k_max.items()]
+        assert len(families) == 5
+        families += [(3, 1.0, 20.0, 2, 80), (1, -0.5, 50.0, 1, 30), (5, 3.0, 0.5, 0, 150)]
+        for family in families:
+            for f in solve_pswfs(*family):
+                assert (np.float64(recurrence_residual(f)).tobytes()
+                        == np.float64(recurrence_residual_reference(f)).tobytes())
 
     def test_perturbed_chi_control(self):
         f = solve_pswfs(2, 0.0, 2.0, 0, 0)[0]
