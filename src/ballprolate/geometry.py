@@ -210,7 +210,11 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
         K(rho) = (2 pi)^(d/2) 2^alpha Gamma(alpha+1) J_mu(c rho) / (c rho)^mu,
 
     mu = d/2 + alpha > -1/2, through the scaled Bessel function so that
-    rho = 0 is regular.  Valid for every d >= 1.
+    rho = 0 is regular.  Valid for every d >= 1.  When 2 alpha is an integer,
+    mu is an integer or half-integer and takes the recurrence route of
+    bessel_j_scaled at c rho > max(2, mu); every other mu takes scipy's jv
+    there, and c rho <= 2 takes the power series.
+    rho must be finite and non-negative; ValueError names rho otherwise.
     """
     if not d >= 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
@@ -219,6 +223,8 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     rho_arr = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho_arr)):
+        raise ValueError("separation rho must be finite")
     if np.any(rho_arr < 0.0):
         raise ValueError("separation rho must be non-negative")
     pref = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** alpha * math.gamma(alpha + 1.0)

@@ -12,6 +12,12 @@ and satisfy the three-term recurrence
 
 with P~_0 = 1/h_0.  All gamma-function ratios are evaluated in log space so
 that large indices and half-integer parameters do not overflow.
+
+The scaled Bessel functions J_nu(z)/z^nu take one of three routes: a power
+series in Horner form for z <= 2; for an integer or half-integer order at
+z > 2 and z > nu, the forward recurrence from scipy's j0/j1 or from the
+closed forms of order -1/2 and 1/2; and scipy.special.jv for every other
+order and point (see _bessel_j_family).
 """
 
 from __future__ import annotations
@@ -157,60 +163,124 @@ def clenshaw(basis: JacobiBasis, coeffs, eta):
 
 _SERIES_CUTOFF = 2.0
 _SERIES_TERMS = 30
+# At |q| <= 1 a term whose coefficient is at most this share of the leading
+# one, 1, is below 1/16 of an ulp of that term, so the series stops there.
+_SERIES_TAIL = 2.0 ** -56
 
 
 def _bessel_series(nu: float, z: np.ndarray, jmax: int = 0) -> np.ndarray:
     """Power series of z^(2j) J~_(nu+2j)(z), j = 0..jmax, accurate to machine
-    precision for z <= 2.  The factor z^(2j) 2^-(nu+2j) enters the leading
-    term as 2^-nu (z/2)^(2j), so no factor leaves the floating-point range."""
-    orders = nu + 2.0 * np.arange(jmax + 1)[:, None]
-    lead = [math.exp(-nu * math.log(2.0) - math.lgamma(o + 1.0)) for o in orders[:, 0]]
-    term = np.multiply.outer(lead, np.ones_like(z))
+    precision for z <= 2.
+
+    Each row is 2^-nu (z/2)^(2j) / Gamma(nu+2j+1) times
+    sum_m q^m / (m! (nu+2j+1)_m), q = -z^2/4, summed in Horner form.  The
+    coefficient table is built in one array pass over the orders; it stops
+    at the first coefficient of the lowest order (which decays slowest) that
+    is at most _SERIES_TAIL of the leading one, 1, and never holds more than
+    _SERIES_TERMS terms, so a leading factor that underflows to 0 at large
+    orders cannot stall it.  The factor z^(2j) 2^-(nu+2j) enters as
+    2^-nu (z/2)^(2j), so no factor leaves the floating-point range.
+    """
+    orders = nu + 2.0 * np.arange(jmax + 1)
+    m = np.arange(1.0, _SERIES_TERMS)
+    coeffs = np.ones((jmax + 1, _SERIES_TERMS))
+    coeffs[:, 1:] = np.cumprod(1.0 / (m * (m + orders[:, None])), axis=1)
+    tail = np.flatnonzero(coeffs[0] <= _SERIES_TAIL)
+    terms = int(tail[0]) if tail.size else _SERIES_TERMS
+    # One row (bessel_j_scaled) runs on Python floats and 1-d arrays; a
+    # family on (jmax+1, 1) columns that broadcast against q.
+    cols = coeffs[0, :terms].tolist() if jmax == 0 else coeffs[:, :terms, None].transpose(1, 0, 2)
     q = -0.25 * z * z
-    term[1:] *= (-q) ** np.arange(1, jmax + 1)[:, None]
-    total = term.copy()
-    m = np.arange(1.0, _SERIES_TERMS)[:, None, None]
-    for denom in m * (m + orders):
-        term *= q
-        term /= denom
-        total += term
+    total = 0.0
+    for col in cols[::-1]:
+        total = total * q + col
+    lead = [math.exp(-nu * math.log(2.0) - math.lgamma(o + 1.0)) for o in orders]
+    total = np.reshape(total, (jmax + 1, z.size)) * np.array(lead)[:, None]
+    if jmax:
+        total[1:] *= (-q) ** np.arange(1, jmax + 1)[:, None]
     return total
+
+
+def _bessel_forward(m: float, prev: np.ndarray, cur: np.ndarray, nu: float,
+                    z: np.ndarray) -> np.ndarray:
+    """J_nu(z) from the seeds (prev, cur) = (J_(m-1)(z), J_m(z)) by the
+    forward recurrence J_(m+1) = (2m/z) J_m - J_(m-1) (DLMF 10.6.1), run up
+    to order nu.  Forward stable for orders below z (DLMF 10.74(iv))."""
+    while m < nu:
+        prev, cur = cur, (2.0 * m / z) * cur - prev
+        m += 1.0
+    return cur
+
+
+def _bessel_seeded(nu: float, z: np.ndarray) -> np.ndarray:
+    """J_nu(z) for an integer or half-integer nu >= 0 and z > nu.
+
+    Integer orders start from scipy's cephes j0 and j1, half-integer orders
+    from the closed forms J_(-1/2) = sqrt(2/(pi z)) cos z and
+    J_(1/2) = sqrt(2/(pi z)) sin z (DLMF 10.49), and both recur forward to
+    nu.
+    """
+    import scipy.special
+
+    if float(nu).is_integer():
+        j0 = scipy.special.j0(z)
+        return j0 if nu == 0.0 else _bessel_forward(1.0, j0, scipy.special.j1(z), nu, z)
+    amp = np.sqrt(2.0 / (math.pi * z))
+    return _bessel_forward(0.5, amp * np.cos(z), amp * np.sin(z), nu, z)
 
 
 def _bessel_j_family(nu: float, jmax: int, z: np.ndarray) -> np.ndarray:
     """J_(nu+2j)(z)/z^nu = z^(2j) J~_(nu+2j)(z) for j = 0..jmax, shape
     (jmax+1, z.size), for nu > -1/2 and a 1-d array z >= 0.
 
-    The power series serves z <= 2, where dividing scipy's J by z^nu would
-    lose accuracy near 0, and scipy.special.jv(nu+2j, z)/z^nu serves z > 2;
-    neither forms z^(2j), which overflows at large j.
+    Routes, by order and point:
+      - z <= 2, every row: the power series (_bessel_series), where dividing
+        J by z^nu would lose accuracy near 0;
+      - z > 2, row 0, 2 nu an integer and z > nu: the forward recurrence
+        from j0/j1 or the half-integer closed forms (_bessel_seeded), a few
+        array operations per order instead of AMOS's jv;
+      - every other z > 2: scipy.special.jv(nu+2j, z)/z^nu, that is rows
+        j >= 1, orders with 2 nu not an integer, and points 2 < z <= nu.
+    No route forms z^(2j), which overflows at large j.
     """
     out = np.empty((jmax + 1, z.size))
     small = z <= _SERIES_CUTOFF
     if small.any():
         out[:, small] = _bessel_series(nu, z[small], jmax)
-    if (~small).any():
+    big = ~small
+    if big.any():
         # Imported here, not at module level: solving and evaluating never
         # reach z > 2, and scipy.special adds import time and memory to them.
         import scipy.special
 
-        z_big = z[~small]
-        orders = nu + 2.0 * np.arange(jmax + 1)
-        out[:, ~small] = scipy.special.jv(orders[:, None], z_big) / z_big ** nu
+        if jmax > 0:
+            z_big = z[big]
+            orders = nu + 2.0 * np.arange(1, jmax + 1)
+            out[1:, big] = scipy.special.jv(orders[:, None], z_big) / z_big ** nu
+        seeded = big & (z > nu) if nu >= 0.0 and float(2.0 * nu).is_integer() \
+            else np.zeros_like(big)
+        for route, mask in ((_bessel_seeded, seeded), (scipy.special.jv, big & ~seeded)):
+            if mask.any():
+                z_m = z[mask]
+                out[0, mask] = route(nu, z_m) / z_m ** nu
     return out
 
 
 def bessel_j_scaled(nu: float, z):
     """J_nu(z)/z^nu, an even entire function of z, for order nu > -1/2.
 
-    At z = 0 the value is 1/(2^nu Gamma(nu+1)).  The power series is used for
-    z <= 2 and scipy.special.jv(nu, z)/z^nu beyond that (see
-    _bessel_j_family, whose j = 0 row this is).  z may be a scalar or an
-    ndarray of non-negative values.
+    At z = 0 the value is 1/(2^nu Gamma(nu+1)).  The power series serves
+    z <= 2; beyond that, an integer or half-integer nu at z > nu recurs
+    forward from j0/j1 or the closed forms of order -1/2 and 1/2, and every
+    other (nu, z) takes scipy.special.jv(nu, z)/z^nu (see _bessel_j_family,
+    whose j = 0 row this is).  z may be a scalar or an ndarray of finite,
+    non-negative values; ValueError names z otherwise.
     """
     if not nu > -0.5:
         raise ValueError(f"order must exceed -1/2, got nu={nu}")
     z_arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z_arr)):
+        raise ValueError("argument z must be finite")
     if np.any(z_arr < 0.0):
         raise ValueError("argument z must be non-negative")
     out = _bessel_j_family(float(nu), 0, z_arr.ravel())[0]

@@ -148,16 +148,17 @@ def _hankel_sides(pswf: RadialPswf, r_grid: np.ndarray) -> tuple[np.ndarray, np.
                 + p.alpha * math.log(2.0))
     # Gamma(alpha+j+1)/j! over the norm h_j of P~_j = P_j/h_j, and the
     # reflection sign (-1)^j.
+    basis = p.basis
     const = np.array([
         math.exp(log_pref + math.lgamma(p.alpha + j + 1.0) - math.lgamma(j + 1.0))
-        / _norm_const(p.basis, j)
+        / _norm_const(basis, j)
         for j in range(pswf.truncation + 1)
     ])
     const[1::2] *= -1.0
     terms = _bessel_j_family(p.beta_n + p.alpha + 1.0, pswf.truncation, p.c * r_grid)
     lhs = (const * pswf.coeffs) @ terms
     parity = -1.0 if p.k % 2 else 1.0
-    rhs_shape = parity * clenshaw(pswf.basis, pswf.coeffs, 2.0 * r_grid * r_grid - 1.0)
+    rhs_shape = parity * clenshaw(basis, pswf.coeffs, 2.0 * r_grid * r_grid - 1.0)
     return lhs, rhs_shape
 
 

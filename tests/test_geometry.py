@@ -427,3 +427,8 @@ class TestKernel:
             kernel_qc(2, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             kernel_qc(2, 0.0, 2.0, -0.1)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, [0.1, math.nan], [0.1, -math.inf]])
+    def test_non_finite_separation_is_loud(self, rho):
+        with pytest.raises(ValueError, match="separation rho must be finite"):
+            kernel_qc(2, 0.0, 2.0, rho)

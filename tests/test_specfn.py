@@ -8,7 +8,9 @@ import pytest
 import scipy.special
 
 from ballprolate.specfn import (
+    _SERIES_CUTOFF,
     JacobiBasis,
+    _bessel_forward,
     _bessel_j_family,
     _bessel_series,
     _cached_recurrence,
@@ -357,11 +359,16 @@ class TestBesselScaled:
         np.testing.assert_allclose(ours * z ** nu, scipy.special.jv(nu, z),
                                    rtol=1e-11, atol=1e-13)
 
-    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0])
     def test_against_mpmath(self, nu):
         # The scaled function is accurate in absolute terms relative to its
         # peak at z = 0; recovering J itself multiplies that error by z^nu.
-        z = np.concatenate([np.linspace(2.0, 40.0, 39)[1:], np.linspace(50.0, 400.0, 36)])
+        # The grid straddles the series cutoff z = 2 and, for nu > 2, the
+        # point z = nu where the recurrence route of 2 nu integer orders
+        # takes over from jv.
+        edges = [np.nextafter(2.0, 3.0), nu, np.nextafter(nu, np.inf)]
+        z = np.unique(np.concatenate([np.linspace(0.05, 2.0, 12), edges,
+                                      np.linspace(2.0, 40.0, 39)[1:], np.linspace(50.0, 400.0, 36)]))
         mp.mp.dps = 30
         reference = np.array([float(mp.besselj(nu, x) / mp.mpf(x) ** nu) for x in z])
         peak = bessel_j_scaled(nu, 0.0)
@@ -394,6 +401,11 @@ class TestBesselScaled:
         with pytest.raises(ValueError):
             bessel_j_scaled(0.0, -1.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, [0.5, math.nan], [3.0, math.inf]])
+    def test_non_finite_argument_is_loud(self, z):
+        with pytest.raises(ValueError, match="argument z must be finite"):
+            bessel_j_scaled(1.0, z)
+
 
 class TestBesselJFamily:
     @pytest.mark.parametrize("nu", [-0.25, 0.5, 1.0, 2.5])
@@ -419,3 +431,53 @@ class TestBesselJFamily:
         # z^(2j) alone overflows here (j = 700, z = 30); the family does not.
         family = _bessel_j_family(0.5, 700, np.array([0.0, 1.0, 2.0, 30.0, 100.0]))
         assert np.all(np.isfinite(family))
+
+
+class TestBesselRoutes:
+    """The z > 2 routes of row 0: the seeded forward recurrence for 2 nu an
+    integer at z > nu, and scipy's jv for every other order and point."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0])
+    def test_seeded_points_do_not_call_jv(self, nu, monkeypatch):
+        def no_jv(*args):
+            raise AssertionError("jv called on the seeded route")
+
+        z = np.linspace(max(nu, _SERIES_CUTOFF) + 0.01, 3.0 * nu + 40.0, 50)
+        expected = bessel_j_scaled(nu, z)
+        monkeypatch.setattr(scipy.special, "jv", no_jv)
+        np.testing.assert_array_equal(bessel_j_scaled(nu, z), expected)
+
+    @pytest.mark.parametrize("nu,z", [
+        (0.7, np.linspace(2.01, 60.0, 80)),
+        (2.3, np.linspace(2.01, 60.0, 80)),
+        (5.0, np.linspace(2.01, 5.0, 20)),
+        (10.0, np.linspace(2.01, 10.0, 20)),
+        (4.5, np.linspace(2.01, 4.5, 20)),
+    ])
+    def test_jv_fallback_is_bit_identical(self, nu, z):
+        # Non-half-integer orders, and 2 < z <= nu for the others.
+        np.testing.assert_array_equal(bessel_j_scaled(nu, z), scipy.special.jv(nu, z) / z ** nu)
+
+    def test_rows_above_zero_stay_on_jv(self):
+        z = np.array([2.5, 7.0, 30.0])
+        family = _bessel_j_family(1.5, 4, z)
+        orders = 1.5 + 2.0 * np.arange(1, 5)
+        np.testing.assert_array_equal(family[1:], scipy.special.jv(orders[:, None], z) / z ** 1.5)
+
+    def test_underflowing_leading_coefficient_stays_finite(self):
+        # 2^-300/Gamma(301) underflows to 0; the series must still stop.
+        # Above the cutoff z = 10 keeps z^300 finite.
+        family = _bessel_j_family(300.0, 3, np.array([0.0, 1.0, 2.0, 2.5, 10.0]))
+        assert np.all(np.isfinite(family))
+
+    def test_swapped_seeds_miss_mpmath(self):
+        # Negative control: the recurrence from (J_1, J_0) instead of
+        # (J_0, J_1) must not reproduce J_3; the right seeds do.
+        mp.mp.dps = 30
+        z = np.linspace(3.5, 40.0, 30)
+        reference = np.array([float(mp.besselj(3, mp.mpf(x))) for x in z])
+        j0, j1 = scipy.special.j0(z), scipy.special.j1(z)
+        good = _bessel_forward(1.0, j0, j1, 3.0, z)
+        swapped = _bessel_forward(1.0, j1, j0, 3.0, z)
+        assert np.max(np.abs(good - reference)) <= 1e-14
+        assert np.max(np.abs(swapped - reference)) > 1e-2

@@ -92,6 +92,40 @@ class TestHankelResidual:
                 assert lambda_from_hankel_fit(f) == pytest.approx(lam, rel=1e-8)
 
 
+class TestHankelConstant:
+    def test_hoisted_constant_matches_per_j_values(self, monkeypatch):
+        # With unit coefficients and identity Bessel terms the integral side
+        # is the constant vector itself, which must equal, bit for bit, the
+        # values built with a fresh basis for every j.
+        f = solve_pswfs(3, 0.5, 4.0, 2, 3)[3]
+        p, K = f.params, f.truncation
+        log_pref = (0.5 * p.d * math.log(2.0 * math.pi) + p.n * math.log(p.c)
+                    + p.alpha * math.log(2.0))
+        per_j = np.array([
+            math.exp(log_pref + math.lgamma(p.alpha + j + 1.0) - math.lgamma(j + 1.0))
+            / verify._norm_const(p.basis, j)
+            for j in range(K + 1)
+        ])
+        per_j[1::2] *= -1.0
+        monkeypatch.setattr(verify, "_bessel_j_family", lambda nu, jmax, z: np.eye(jmax + 1))
+        unit = dataclasses.replace(f, coeffs=np.ones(K + 1))
+        lhs, _ = verify._hankel_sides(unit, np.linspace(0.1, 1.0, K + 1))
+        assert lhs.tobytes() == per_j.tobytes()
+
+    def test_basis_built_once(self, monkeypatch):
+        f = solve_pswfs(2, 0.0, 3.0, 1, 2)[2]
+        built = []
+        original = type(f.params).basis
+
+        def counting(params):
+            built.append(params)
+            return original.fget(params)
+
+        monkeypatch.setattr(type(f.params), "basis", property(counting))
+        verify._hankel_sides(f, np.linspace(0.0, 1.0, 11))
+        assert len(built) == 1
+
+
 class TestOrthonormality:
     def test_large_bandwidth_family(self):
         family = solve_pswfs(2, 0.0, 10.0, 0, 10)
@@ -186,6 +220,19 @@ class TestMuConsistency:
     def test_rayleigh_quotient_matches_lambda_squared(self, n, k):
         lam = lambda_eigenvalue(solve_pswfs(2, 0.0, 2.0, n, k)[k])
         mu = mu_rayleigh(2, 0.0, 2.0, n, k)
+        assert mu == pytest.approx(lam ** 2, rel=1e-6)
+
+    # The kernel order mu = 1 + alpha is an integer at alpha = 1 (j0/j1
+    # recurrence), a half-integer at 0.5 (closed-form seeds) and neither at
+    # 0.3 (scipy's jv).  The Gauss-Legendre radial rule meets the weight
+    # (1 - t^2)^alpha, whose endpoint behaviour at non-integer alpha slows
+    # its convergence to algebraic: at 48 nodes alpha = 0.5 and 0.3 are off
+    # by 2e-6 to 3e-5, so those two run on finer radial rules.
+    @pytest.mark.parametrize("alpha,radial_nodes", [(1.0, 48), (0.5, 128), (0.3, 200)])
+    @pytest.mark.parametrize("n,k", [(0, 0), (1, 0)])
+    def test_kernel_routes_match_lambda_squared(self, alpha, radial_nodes, n, k):
+        lam = lambda_eigenvalue(solve_pswfs(2, alpha, 2.0, n, k)[k])
+        mu = mu_rayleigh(2, alpha, 2.0, n, k, radial_nodes=radial_nodes)
         assert mu == pytest.approx(lam ** 2, rel=1e-6)
 
     def test_kernel_route_confirms_ordering_flip(self):
