@@ -229,6 +229,23 @@ def _bessel_seeded(nu: float, z: np.ndarray) -> np.ndarray:
     return _bessel_forward(0.5, amp * np.cos(z), amp * np.sin(z), nu, z)
 
 
+def _over_z_power(values: np.ndarray, nu: float, z: np.ndarray) -> np.ndarray:
+    """values / z^nu, broadcast over the last axis of values.
+
+    Where z^nu overflows (nu ln z > 709) the points take
+    values * exp(-nu ln z) instead, which underflows quietly to the
+    subnormal or zero that the quotient is.  Every other point keeps the
+    bytes of the plain division.
+    """
+    with np.errstate(over="ignore"):
+        power = z ** nu
+    out = values / power
+    huge = np.isinf(power)
+    if huge.any():
+        out[..., huge] = values[..., huge] * np.exp(-nu * np.log(z[huge]))
+    return out
+
+
 def _bessel_j_family(nu: float, jmax: int, z: np.ndarray) -> np.ndarray:
     """J_(nu+2j)(z)/z^nu = z^(2j) J~_(nu+2j)(z) for j = 0..jmax, shape
     (jmax+1, z.size), for nu > -1/2 and a 1-d array z >= 0.
@@ -241,7 +258,8 @@ def _bessel_j_family(nu: float, jmax: int, z: np.ndarray) -> np.ndarray:
         array operations per order instead of AMOS's jv;
       - every other z > 2: scipy.special.jv(nu+2j, z)/z^nu, that is rows
         j >= 1, orders with 2 nu not an integer, and points 2 < z <= nu.
-    No route forms z^(2j), which overflows at large j.
+    No route forms z^(2j), which overflows at large j, and the division by
+    z^nu turns into a quiet underflow where z^nu overflows (_over_z_power).
     """
     out = np.empty((jmax + 1, z.size))
     small = z <= _SERIES_CUTOFF
@@ -256,13 +274,13 @@ def _bessel_j_family(nu: float, jmax: int, z: np.ndarray) -> np.ndarray:
         if jmax > 0:
             z_big = z[big]
             orders = nu + 2.0 * np.arange(1, jmax + 1)
-            out[1:, big] = scipy.special.jv(orders[:, None], z_big) / z_big ** nu
+            out[1:, big] = _over_z_power(scipy.special.jv(orders[:, None], z_big), nu, z_big)
         seeded = big & (z > nu) if nu >= 0.0 and float(2.0 * nu).is_integer() \
             else np.zeros_like(big)
         for route, mask in ((_bessel_seeded, seeded), (scipy.special.jv, big & ~seeded)):
             if mask.any():
                 z_m = z[mask]
-                out[0, mask] = route(nu, z_m) / z_m ** nu
+                out[0, mask] = _over_z_power(route(nu, z_m), nu, z_m)
     return out
 
 

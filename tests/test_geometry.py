@@ -1,6 +1,7 @@
 """Tests for spherical harmonics, ball polynomials, and full evaluation."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -419,6 +420,13 @@ class TestKernel:
         mp.mp.dps = 30
         exact = mp.quad(lambda s: (1 - s * s) ** alpha * mp.cos(c * rho * s), [-1, 0, 1])
         assert kernel_qc(1, alpha, c, rho) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_high_order_underflows_quietly(self):
+        # mu = 300 at c rho = 20, where 20^300 overflows; mpmath gives the
+        # kernel as 1.15e-705, below the double range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_qc(600, 0.0, 20.0, 1.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

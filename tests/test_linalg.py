@@ -1,16 +1,27 @@
 """Tests for the tridiagonal eigensolver and Gauss-Jacobi quadrature."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
+import ballprolate
 from ballprolate import linalg
+from ballprolate.errors import EigenConvergenceError
 from ballprolate.linalg import QuadratureRule, TridiagonalSym, eig_symtridiag, gauss_jacobi
+from ballprolate.pswf import build_matrix
+from ballprolate.specfn import JacobiBasis, _recurrence_arrays
 from helpers import closed_form_moment
 
 BASES = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.5), (-0.5, 2.0), (-0.5, -0.5)]
+CUT = linalg._DENSE_MAX_ROWS
 
 
 class TestEigSymtridiag:
@@ -62,6 +73,97 @@ class TestEigSymtridiag:
             TridiagonalSym([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             TridiagonalSym([1.0, math.nan], [0.5])
+
+
+def _route_matrices(rows):
+    """Solver matrices of three families and Jacobi matrices of two bases."""
+    for d, alpha, c, n in ((2, 0.0, 10.0, 0), (3, 1.0, 50.0, 2), (1, -0.5, 5.0, 0)):
+        yield build_matrix(d, alpha, c, n, rows - 1)
+    for alpha, beta in ((0.5, -0.5), (2.0, 3.5)):
+        a, b = _recurrence_arrays(JacobiBasis(alpha, beta), rows - 1)
+        yield TridiagonalSym(b, a[:-1])
+
+
+class TestEigRoutes:
+    """eig_symtridiag solves up to _DENSE_MAX_ROWS rows by numpy.linalg.eigh
+    on a dense matrix and larger ones by scipy's eigh_tridiagonal."""
+
+    @pytest.mark.parametrize("rows", range(1, 41))
+    def test_matches_scipy_tridiagonal(self, rows):
+        # Both routes end in LAPACK's dstedc and gave the same bytes on one
+        # machine; across NumPy and SciPy builds only rounding is promised.
+        for tri in _route_matrices(rows):
+            values, vectors = eig_symtridiag(tri)
+            ref_values, ref_vectors = scipy.linalg.eigh_tridiagonal(tri.diag, tri.offdiag)
+            assert np.max(np.abs(values - ref_values)) <= 1e-15 * np.max(np.abs(ref_values))
+            signs = np.sign(np.sum(vectors * ref_vectors, axis=0))
+            assert np.max(np.abs(vectors * signs - ref_vectors)) <= 1e-14
+
+    @pytest.mark.parametrize("rows,route", [(1, "dense"), (CUT, "dense"), (CUT + 1, "scipy")])
+    def test_cut_selects_the_route(self, rows, route, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("wrong route")
+
+        if route == "dense":
+            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        else:
+            monkeypatch.setattr(np.linalg, "eigh", fail)
+        values, _ = eig_symtridiag(build_matrix(2, 0.0, 10.0, 0, rows - 1))
+        assert values.shape == (rows,)
+
+    @pytest.mark.parametrize("rows,target", [(CUT, (np.linalg, "eigh")),
+                                             (CUT + 1, (scipy.linalg, "eigh_tridiagonal"))])
+    def test_lapack_failure_is_eigen_convergence_error(self, rows, target, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(*target, fail)
+        with pytest.raises(EigenConvergenceError, match=f"size {rows} failed: no convergence"):
+            eig_symtridiag(build_matrix(2, 0.0, 10.0, 0, rows - 1))
+
+
+def _scipy_modules_after(code, cwd):
+    """Names of the scipy modules loaded in a fresh interpreter after code."""
+    src = str(Path(ballprolate.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += "\nimport json, sys\n" \
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """Small solves, evaluations, rules and the recurrence suite never load
+    scipy; an eigensolve of more than _DENSE_MAX_ROWS rows does."""
+
+    def test_small_calls_keep_scipy_out(self, tmp_path):
+        (tmp_path / "pts.txt").write_text("0.3 0.4\n-0.3 -0.4\n")
+        code = """
+import contextlib, io
+from ballprolate import solve_pswfs
+from ballprolate.cli import main
+solve_pswfs(2, 0.0, 5.0, 0, 5)
+for args in (
+    "eval --dim 2 --alpha 0 --c 1 --n 0 --k 0 --form slepian --r 0:0.25:1",
+    "eval-ball --dim 2 --alpha 0 --c 2 --n 1 --k 0 --ell 1 --points pts.txt",
+    "quad --alpha 0.5 --beta 0 --m 16",
+    "verify --suite recurrence",
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args.split()) == 0, args
+"""
+        assert _scipy_modules_after(code, tmp_path) == []
+
+    def test_large_truncation_loads_scipy_linalg(self, tmp_path):
+        code = "from ballprolate import solve_pswfs\nsolve_pswfs(2, 0.0, 1.0, 0, 200)"
+        assert "scipy.linalg" in _scipy_modules_after(code, tmp_path)
+
+    def test_check_reports_a_direct_import(self, tmp_path):
+        # Negative control: the check must see a child that loads scipy.
+        code = "import ballprolate\nimport scipy.linalg"
+        assert "scipy.linalg" in _scipy_modules_after(code, tmp_path)
 
 
 class TestGaussJacobi:

@@ -209,14 +209,16 @@ class TestSolve:
 
     @staticmethod
     def _spy_eigensolves(monkeypatch):
+        # Records (rows, eigenvectors missing) for each eigensolve of
+        # solve_pswfs, whichever LAPACK route eig_symtridiag takes.
         calls = []
-        original = scipy.linalg.eigh_tridiagonal
 
-        def spy(diag, offdiag, **kwargs):
-            calls.append((len(diag), kwargs.get("eigvals_only", False)))
-            return original(diag, offdiag, **kwargs)
+        def spy(tri):
+            values, vectors = eig_symtridiag(tri)
+            calls.append((tri.size, vectors.shape != (tri.size, tri.size)))
+            return values, vectors
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        monkeypatch.setattr(pswf_module, "eig_symtridiag", spy)
         return calls
 
     def test_certificate_at_floor_takes_one_eigensolve(self, monkeypatch):

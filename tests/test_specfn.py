@@ -1,6 +1,7 @@
 """Tests for the scalar special functions."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -469,6 +470,26 @@ class TestBesselRoutes:
         # Above the cutoff z = 10 keeps z^300 finite.
         family = _bessel_j_family(300.0, 3, np.array([0.0, 1.0, 2.0, 2.5, 10.0]))
         assert np.all(np.isfinite(family))
+
+    @pytest.mark.parametrize("nu,z", [
+        # nu ln z > 709 at every point, so z^nu overflows.  At nu = 300 the
+        # quotient is below 1/(2^300 300!) ~ 1e-705 and underflows to 0:
+        # rows j >= 1 and z <= nu on jv, z > nu on the seeded recurrence.
+        (300.0, [11.0, 20.0, 250.0, 299.0, 400.0, 1000.0]),
+        # Subnormal quotients: row 0 on the recurrence from j0/j1 and from
+        # the half-integer closed forms, rows 1-2 on jv.
+        (100.0, [1300.0, 1500.0]),
+        (100.5, [1500.0]),
+    ])
+    def test_overflowing_power_underflows_quietly(self, nu, z):
+        mp.mp.dps = 30
+        z = np.array(z)
+        reference = [[float(mp.besselj(nu + 2 * j, x) / mp.mpf(x) ** nu) for x in z]
+                     for j in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            family = _bessel_j_family(nu, 2, z)
+        np.testing.assert_allclose(family, reference, rtol=0, atol=2 * 2.0 ** -1074)
 
     def test_swapped_seeds_miss_mpmath(self):
         # Negative control: the recurrence from (J_1, J_0) instead of
