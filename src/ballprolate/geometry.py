@@ -21,10 +21,12 @@ sph_harm_dim(d-1, m) indices ell'.  The circle and S^0 end the recursion.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import IndexOutOfRange
+from .linalg import _validate_count
 from .pswf import RadialPswf
 from .specfn import JacobiBasis, bessel_j_scaled, clenshaw, jacobi_eval
 
@@ -39,6 +41,8 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-14
+# Log of the smallest normal double: kernel_qc's underflow bound.
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 def sph_harm_dim(d: int, n: int) -> int:
@@ -210,23 +214,35 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
         K(rho) = (2 pi)^(d/2) 2^alpha Gamma(alpha+1) J_mu(c rho) / (c rho)^mu,
 
     mu = d/2 + alpha > -1/2, through the scaled Bessel function so that
-    rho = 0 is regular.  Valid for every d >= 1.  When 2 alpha is an integer,
-    mu is an integer or half-integer and takes the recurrence route of
-    bessel_j_scaled at c rho > max(2, mu); every other mu takes scipy's jv
+    rho = 0 is regular.  Valid for every integer d >= 1.  When 2 alpha is an
+    integer, mu is an integer or half-integer and takes the recurrence route
+    of bessel_j_scaled at c rho > max(2, mu); every other mu takes scipy's jv
     there, and c rho <= 2 takes the power series.
     rho must be finite and non-negative; ValueError names rho otherwise.
+
+    J_mu(z)/z^mu peaks at z = 0 at 1/(2^mu Gamma(mu+1)).  Once that peak is
+    below the smallest normal double, the scaled Bessel factor is subnormal
+    at every rho, and the product with the prefactor loses digits or is
+    inf * 0.  ValueError names alpha there, unless the kernel's own peak
+    K(0) = pi^(d/2) Gamma(alpha+1)/Gamma(mu+1) underflows too, in which case
+    the kernel underflows quietly.
     """
-    if not d >= 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
+    _validate_count(d, "dimension", 1)
     if not c > 0.0:
         raise ValueError(f"bandwidth c must be positive, got {c}")
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
+    mu = d / 2.0 + alpha
+    log_bessel_peak = -(mu * math.log(2.0) + math.lgamma(mu + 1.0))
+    log_kernel_peak = 0.5 * d * math.log(math.pi) + math.lgamma(alpha + 1.0) - math.lgamma(mu + 1.0)
+    if log_bessel_peak < _LOG_TINY and not log_kernel_peak < _LOG_TINY:
+        raise ValueError(f"alpha = {alpha} is too large for the kernel in dimension {d}: "
+                         f"J_mu(z)/z^mu with mu = {mu} is subnormal at every separation")
     rho_arr = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho_arr)):
         raise ValueError("separation rho must be finite")
     if np.any(rho_arr < 0.0):
         raise ValueError("separation rho must be non-negative")
     pref = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** alpha * math.gamma(alpha + 1.0)
-    value = pref * bessel_j_scaled(d / 2.0 + alpha, c * rho_arr)
+    value = pref * bessel_j_scaled(mu, c * rho_arr)
     return float(value) if rho_arr.ndim == 0 else value

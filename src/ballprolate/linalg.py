@@ -126,8 +126,9 @@ def eig_symtridiag(tri: TridiagonalSym) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Bound on the cached Gauss-Jacobi rules.  A family's Gram check asks for
-# (alpha, beta_n, 2K) and every Rayleigh check for (0, 0, radial_nodes), so a
-# few entries cover the families and node counts a caller works on at once.
+# (alpha, beta_n, 2K) and every Rayleigh check for (alpha, 0, radial_nodes),
+# so a few entries cover the families and node counts a caller works on at
+# once.
 _RULE_CACHE_SIZE = 32
 
 

@@ -12,10 +12,11 @@ independently of the solver and measure the mismatch:
   * table_check      - regression against bundled published reference values,
   * mu_rayleigh      - Rayleigh quotient of the concentration operator on the
                        disk, matching lambda^2 through a kernel discretization
-                       that never touches the radial transform route: a
-                       gauss_jacobi radial rule, a trapezoid angular rule, and
-                       the kernel evaluated once per distinct separation
-                       (radius pairs i <= j, angles in [0, pi]).
+                       that never touches the radial transform route: the
+                       Gauss-Jacobi rule of the weight (1 - eta)^alpha in
+                       eta = 2 r^2 - 1, a trapezoid angular rule, and the
+                       kernel evaluated once per distinct separation (radius
+                       pairs i <= j, angles in [0, pi]).
 
 Suites aggregate cases into a VerificationReport whose JSON form is shared
 with the command-line front end, the one place that overrides the stated
@@ -169,11 +170,14 @@ def hankel_residual(pswf: RadialPswf, lam: float, r_grid=DEFAULT_R_GRID) -> floa
     |lambda| max_r |phi(2r^2-1)|.  The integral side LHS is summed in closed
     form (see _hankel_sides), so the metric keeps its relative accuracy for
     tiny lambda at small c r: at d = 2, alpha = 0, c = 1, n = 2, k = 4, where
-    lambda ~ 3.7e-13, it reads below 1e-12.  r_grid may contain 0.
+    lambda ~ 3.7e-13, it reads below 1e-12.  r_grid may contain 0.  lam
+    must be finite and non-zero, since the metric divides by it.
     """
     p = pswf.params
     if not p.c > 0.0:
         raise ValueError("the integral eigenrelation requires c > 0")
+    if not (math.isfinite(lam) and lam != 0.0):
+        raise ValueError(f"lam must be finite and non-zero, got {lam}")
     r = np.asarray(r_grid, dtype=float)
     lhs, rhs_shape = _hankel_sides(pswf, r)
     scale = abs(lam) * np.max(np.abs(rhs_shape))
@@ -232,9 +236,17 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
     kernel_qc, reduces the angular integral of the kernel against cos(n u) by
     the angular_nodes-point trapezoid rule on [0, 2 pi) (spectrally exact for
     the periodic factor), and evaluates (Q psi, psi)/(psi, psi) on the
-    radial_nodes-point Gauss-Legendre rule gauss_jacobi(0, 0, radial_nodes)
-    mapped to [0, 1].  The result must equal lambda^2; only d = 2 is
-    supported.
+    radial_nodes-point rule gauss_jacobi(alpha, 0, radial_nodes) of the
+    check's own weight: with eta = 2 t^2 - 1,
+
+        int_0^1 g(t) (1 - t^2)^alpha t dt
+            = 2^-(alpha+2) int_(-1)^1 g(sqrt((1 + eta)/2)) (1 - eta)^alpha d(eta),
+
+    so phi is summed at the rule's nodes directly, t enters only through t^n
+    and the separations, and each node weighs 2^-(alpha+2) w_j.  The weight
+    is the rule's own, so the radial sum converges spectrally at every
+    alpha > -1.
+    The result must equal lambda^2; only d = 2 is supported.
 
     The kernel depends only on the separation, which is symmetric in the two
     radii and even in the angle u about pi.  So it is evaluated, in one
@@ -247,10 +259,9 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
     _validate_count(radial_nodes, "radial_nodes", 1)
     _validate_count(angular_nodes, "angular_nodes", 1)
     pswf = solve_pswfs(d, alpha, c, n, k)[k]
-    rule = gauss_jacobi(0.0, 0.0, radial_nodes)
-    t = 0.5 * (rule.nodes + 1.0)
-    wt = 0.5 * rule.weights
-    radial = t ** n * clenshaw(pswf.basis, pswf.coeffs, 2.0 * t * t - 1.0)
+    rule = gauss_jacobi(alpha, 0.0, radial_nodes)
+    t = np.sqrt(0.5 * (1.0 + rule.nodes))
+    radial = t ** n * clenshaw(pswf.basis, pswf.coeffs, rule.nodes)
     half = np.arange(angular_nodes // 2 + 1)
     u = 2.0 * math.pi * half / angular_nodes
     du = 2.0 * math.pi / angular_nodes
@@ -264,7 +275,7 @@ def mu_rayleigh(d: int, alpha: float, c: float, n: int, k: int,
     angular = np.empty((radial_nodes, radial_nodes))
     angular[upper] = pairs
     angular[upper[::-1]] = pairs
-    weight = (1.0 - t * t) ** alpha * t * wt
+    weight = 2.0 ** (-(alpha + 2.0)) * rule.weights
     projected = angular @ (radial * weight)
     numerator = float((radial * weight) @ projected)
     denominator = float((radial * radial) @ weight)

@@ -154,13 +154,13 @@ def kernel_qc_quadrature(d, alpha, c, rho):
 def mu_rayleigh_reference(d, alpha, c, n, k, radial_nodes=48, angular_nodes=128):
     """Disk Rayleigh quotient (Q psi, psi)/(psi, psi) with the kernel
     evaluated on the full radial_nodes x radial_nodes x angular_nodes grid
-    of separations and numpy's Gauss-Legendre rule, as a reference for
-    verify.mu_rayleigh, which folds the grid by its symmetries."""
+    of separations, as a reference for verify.mu_rayleigh, which folds the
+    grid by its symmetries.  The radial rule is the same one, Gauss-Jacobi
+    for (1 - eta)^alpha in eta = 2 t^2 - 1, so only the fold is pinned."""
     pswf = solve_pswfs(d, alpha, c, n, k)[k]
-    x, w = np.polynomial.legendre.leggauss(radial_nodes)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    radial = t ** n * clenshaw(pswf.basis, pswf.coeffs, 2.0 * t * t - 1.0)
+    rule = gauss_jacobi(alpha, 0.0, radial_nodes)
+    t = np.sqrt(0.5 * (1.0 + rule.nodes))
+    radial = t ** n * clenshaw(pswf.basis, pswf.coeffs, rule.nodes)
     u = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
     du = 2.0 * math.pi / angular_nodes
     rr = t[:, None, None]
@@ -168,7 +168,7 @@ def mu_rayleigh_reference(d, alpha, c, n, k, radial_nodes=48, angular_nodes=128)
     rho = np.sqrt(np.maximum(rr * rr + tt * tt - 2.0 * rr * tt * np.cos(u)[None, None, :], 0.0))
     kern = kernel_qc(d, alpha, c, rho.ravel()).reshape(rho.shape)
     angular = (kern * np.cos(n * u)[None, None, :]).sum(axis=2) * du
-    weight = (1.0 - t * t) ** alpha * t * wt
+    weight = 2.0 ** (-(alpha + 2.0)) * rule.weights
     projected = angular @ (radial * weight)
     numerator = float((radial * weight) @ projected)
     denominator = float((radial * radial) @ weight)

@@ -389,6 +389,8 @@ class TestKernel:
         assert kernel_qc(3, 1.0, 2.0, 0.0) == pytest.approx(1.6755160819145563938, rel=1e-13)
         assert kernel_qc(5, -0.5, 2.0, 0.0) == pytest.approx(15.503138340149910088, rel=1e-13)
         assert kernel_qc(2, 1.5, 2.0, 0.0) == pytest.approx(1.2566370614359172954, rel=1e-13)
+        # The largest alpha on the disk whose Bessel factor stays normal.
+        assert kernel_qc(2, 140.0, 1.0, 0.0) == pytest.approx(math.pi / 141.0, rel=1e-13)
 
     def test_disk_closed_form(self):
         # 2 pi J_1(c rho)/(c rho), with the Bessel factor evaluated through
@@ -431,10 +433,22 @@ class TestKernel:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_qc(0, 0.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            kernel_qc(2.5, 0.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             kernel_qc(2, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             kernel_qc(2, 0.0, 2.0, -0.1)
+
+    @pytest.mark.parametrize("alpha", [150.0, 170.0, 171.0, 1e6, math.inf])
+    def test_subnormal_bessel_factor_is_loud(self, alpha):
+        # J_mu(z)/z^mu <= 1/(2^mu Gamma(mu+1)) is subnormal at every rho
+        # from mu = 149.9, while the kernel's peak pi/(alpha+1) is not, so
+        # no separation could be computed to full precision.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                kernel_qc(2, alpha, 1.0, 0.5)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, [0.1, math.nan], [0.1, -math.inf]])
     def test_non_finite_separation_is_loud(self, rho):

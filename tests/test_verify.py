@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestHankelResidual:
         f = solve_pswfs(2, 0.0, 0.0, 0, 0)[0]
         with pytest.raises(ValueError):
             hankel_residual(f, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_rejects_zero_or_non_finite_lambda(self, lam):
+        f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lam must be finite and non-zero"):
+                hankel_residual(f, lam)
 
     @pytest.mark.parametrize("d,alpha", [(2, 0.0), (3, 1.0), (2, -0.5)])
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
@@ -216,34 +225,39 @@ class TestRecurrenceResidual:
 
 
 class TestMuConsistency:
-    @pytest.mark.parametrize("n,k", [(0, 0), (1, 0), (1, 1)])
+    # One grid at the default nodes for every kernel route: the order
+    # 1 + alpha is an integer at alpha = 0 and 1 (j0/j1 recurrence), a
+    # half-integer at -0.5 and 0.5 (closed-form seeds) and neither at -0.9
+    # and 0.3 (scipy's jv).  The radial rule is the Gauss-Jacobi rule of the
+    # weight (1 - eta)^alpha, so every alpha converges at the same node
+    # count.  Below lambda^2 = 1e-4 both routes cancel at about
+    # eps/lambda^2.
+    @pytest.mark.parametrize("n,k", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)])
     def test_rayleigh_quotient_matches_lambda_squared(self, n, k):
-        lam = lambda_eigenvalue(solve_pswfs(2, 0.0, 2.0, n, k)[k])
-        mu = mu_rayleigh(2, 0.0, 2.0, n, k)
-        assert mu == pytest.approx(lam ** 2, rel=1e-6)
+        for alpha in (-0.9, -0.5, 0.0, 0.3, 0.5, 1.0):
+            for c in (2.0, 10.0):
+                lam2 = lambda_eigenvalue(solve_pswfs(2, alpha, c, n, k)[k]) ** 2
+                if lam2 >= 1e-4:
+                    mu = mu_rayleigh(2, alpha, c, n, k)
+                    assert abs(mu / lam2 - 1.0) <= 1e-11, (alpha, c, mu, lam2)
 
-    # The kernel order mu = 1 + alpha is an integer at alpha = 1 (j0/j1
-    # recurrence), a half-integer at 0.5 (closed-form seeds) and neither at
-    # 0.3 (scipy's jv).  The Gauss-Legendre radial rule meets the weight
-    # (1 - t^2)^alpha, whose endpoint behaviour at non-integer alpha slows
-    # its convergence to algebraic: at 48 nodes alpha = 0.5 and 0.3 are off
-    # by 2e-6 to 3e-5, so those two run on finer radial rules.
-    @pytest.mark.parametrize("alpha,radial_nodes", [(1.0, 48), (0.5, 128), (0.3, 200)])
-    @pytest.mark.parametrize("n,k", [(0, 0), (1, 0)])
-    def test_kernel_routes_match_lambda_squared(self, alpha, radial_nodes, n, k):
-        lam = lambda_eigenvalue(solve_pswfs(2, alpha, 2.0, n, k)[k])
-        mu = mu_rayleigh(2, alpha, 2.0, n, k, radial_nodes=radial_nodes)
-        assert mu == pytest.approx(lam ** 2, rel=1e-6)
+    def test_subnormal_kernel_is_loud(self):
+        # The solve at alpha = 150 succeeds, but the kernel's Bessel factor
+        # is subnormal at every separation.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                mu_rayleigh(2, 150.0, 3.0, 0, 1)
 
     def test_kernel_route_confirms_ordering_flip(self):
         # Independent confirmation that the k = 1 eigenvalue exceeds the
         # k = 0 one at alpha = -1/2, c = 10 on the disk.
         lam0 = lambda_eigenvalue(solve_pswfs(2, -0.5, 10.0, 0, 0)[0])
         lam1 = lambda_eigenvalue(solve_pswfs(2, -0.5, 10.0, 0, 1)[1])
-        mu0 = mu_rayleigh(2, -0.5, 10.0, 0, 0, radial_nodes=64)
-        mu1 = mu_rayleigh(2, -0.5, 10.0, 0, 1, radial_nodes=64)
-        assert mu0 == pytest.approx(lam0 ** 2, rel=1e-4)
-        assert mu1 == pytest.approx(lam1 ** 2, rel=1e-4)
+        mu0 = mu_rayleigh(2, -0.5, 10.0, 0, 0)
+        mu1 = mu_rayleigh(2, -0.5, 10.0, 0, 1)
+        assert mu0 == pytest.approx(lam0 ** 2, rel=1e-11)
+        assert mu1 == pytest.approx(lam1 ** 2, rel=1e-11)
         assert mu1 > mu0
 
 
