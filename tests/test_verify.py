@@ -241,6 +241,16 @@ class TestMuConsistency:
                     mu = mu_rayleigh(2, alpha, c, n, k)
                     assert abs(mu / lam2 - 1.0) <= 1e-11, (alpha, c, mu, lam2)
 
+    # Refining the radial rule past the default must not move mu off
+    # lambda^2: one kernel route per alpha (recurrence at 1, closed-form
+    # seeds at 0.5, jv at 0.3), each on a different radial node count.
+    @pytest.mark.parametrize("alpha,radial_nodes", [(1.0, 48), (0.5, 128), (0.3, 200)])
+    @pytest.mark.parametrize("n,k", [(0, 0), (1, 0)])
+    def test_kernel_routes_match_lambda_squared(self, alpha, radial_nodes, n, k):
+        lam = lambda_eigenvalue(solve_pswfs(2, alpha, 2.0, n, k)[k])
+        mu = mu_rayleigh(2, alpha, 2.0, n, k, radial_nodes=radial_nodes)
+        assert mu == pytest.approx(lam ** 2, rel=1e-11)
+
     def test_subnormal_kernel_is_loud(self):
         # The solve at alpha = 150 succeeds, but the kernel's Bessel factor
         # is subnormal at every separation.
