@@ -225,7 +225,8 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
     at every rho, and the product with the prefactor loses digits or is
     inf * 0.  ValueError names alpha there, unless the kernel's own peak
     K(0) = pi^(d/2) Gamma(alpha+1)/Gamma(mu+1) underflows too, in which case
-    the kernel underflows quietly.
+    the kernel underflows quietly, also where the prefactor alone is past the
+    double range.
     """
     _validate_count(d, "dimension", 1)
     if not c > 0.0:
@@ -243,6 +244,17 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
         raise ValueError("separation rho must be finite")
     if np.any(rho_arr < 0.0):
         raise ValueError("separation rho must be non-negative")
-    pref = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** alpha * math.gamma(alpha + 1.0)
-    value = pref * bessel_j_scaled(mu, c * rho_arr)
+    scaled = bessel_j_scaled(mu, c * rho_arr)
+    try:
+        pref = (2.0 * math.pi) ** (d / 2.0) * 2.0 ** alpha * math.gamma(alpha + 1.0)
+    except OverflowError:
+        pref = math.inf
+    if math.isfinite(pref):
+        value = pref * scaled
+    else:
+        # Only past the double range of the prefactor (d >= 780 at alpha = 0),
+        # where the Bessel factor is subnormal or zero: the product in logs.
+        log_pref = 0.5 * d * math.log(2.0 * math.pi) + alpha * math.log(2.0) + math.lgamma(alpha + 1.0)
+        with np.errstate(divide="ignore"):
+            value = np.sign(scaled) * np.exp(log_pref + np.log(np.abs(scaled)))
     return float(value) if rho_arr.ndim == 0 else value

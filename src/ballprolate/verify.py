@@ -188,11 +188,14 @@ def orthonormality_gram(pswfs: list[RadialPswf]) -> float:
     """Max deviation from identity of the quadrature Gram matrix of a family.
 
     All members must share (d, alpha, c, n).  Entries are
-    2^-(alpha+beta_n+2) int phi_a phi_b w_(alpha, beta_n) d(eta) on a rule of
-    twice the largest truncation K.  The family is evaluated in one pass: its
-    coefficient vectors, zero-padded to length K+1, form one block, and the
-    samples are that block times the basis values P~_0..P~_K taken once on
-    the rule's nodes.
+    2^-(alpha+beta_n+2) int phi_a phi_b w_(alpha, beta_n) d(eta) on the
+    Gauss-Jacobi rule of K + 1 nodes, K the largest truncation.  Each phi is
+    a polynomial of degree at most K in eta, so phi_a phi_b has degree at
+    most 2K, and a rule of K + 1 nodes integrates every degree up to 2K + 1
+    exactly: the entries are the exact inner products up to rounding.  The
+    family is evaluated in one pass: its coefficient vectors, zero-padded to
+    length K+1, form one block, and the samples are that block times the
+    basis values P~_0..P~_K taken once on the rule's nodes.
     """
     if not pswfs:
         raise ValueError("need at least one solved eigenfunction")
@@ -201,7 +204,7 @@ def orthonormality_gram(pswfs: list[RadialPswf]) -> float:
         raise ValueError(f"family members must share (d, alpha, c, n), got {heads}")
     p = pswfs[0].params
     K = max(f.truncation for f in pswfs)
-    rule = gauss_jacobi(p.alpha, p.beta_n, 2 * K)
+    rule = gauss_jacobi(p.alpha, p.beta_n, K + 1)
     block = np.zeros((len(pswfs), K + 1))
     for row, f in zip(block, pswfs):
         row[:f.truncation + 1] = f.coeffs

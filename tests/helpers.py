@@ -115,14 +115,21 @@ def bit_identity_families(d, alpha, c, k_max=12):
     return [solve_pswfs(d, alpha, c, n, k_max) for n in range(2 if d == 1 else 3)]
 
 
-def orthonormality_gram_reference(pswfs):
-    """Gram deviation with one clenshaw call per mode on the rule of twice
-    the largest truncation, as a reference for the one-pass
-    verify.orthonormality_gram."""
+def gram_matrix(pswfs, nodes):
+    """Gram matrix 2^-(alpha+beta_n+2) int phi_a phi_b w_(alpha, beta_n) d(eta)
+    of a family, with one clenshaw call per mode on the Gauss-Jacobi rule of
+    the given number of nodes."""
     p = pswfs[0].params
-    rule = gauss_jacobi(p.alpha, p.beta_n, 2 * max(f.truncation for f in pswfs))
+    rule = gauss_jacobi(p.alpha, p.beta_n, nodes)
     samples = np.vstack([clenshaw(f.basis, f.coeffs, rule.nodes) for f in pswfs])
-    gram = 2.0 ** (-(p.alpha + p.beta_n + 2.0)) * (samples * rule.weights) @ samples.T
+    return 2.0 ** (-(p.alpha + p.beta_n + 2.0)) * (samples * rule.weights) @ samples.T
+
+
+def orthonormality_gram_reference(pswfs):
+    """Gram deviation on the rule of one node more than the largest
+    truncation, exact for the degree-2K products, as a reference for the
+    one-pass verify.orthonormality_gram."""
+    gram = gram_matrix(pswfs, max(f.truncation for f in pswfs) + 1)
     return float(np.max(np.abs(gram - np.eye(len(pswfs)))))
 
 

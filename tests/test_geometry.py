@@ -430,6 +430,18 @@ class TestKernel:
             warnings.simplefilter("error")
             assert kernel_qc(600, 0.0, 20.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("d", [780, 1000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 200.0])
+    def test_overflowing_prefactor_underflows_quietly(self, d, alpha):
+        # (2 pi)^(d/2) overflows from d = 780, and Gamma(alpha + 1) from
+        # alpha = 171, while the kernel's peak
+        # pi^(d/2) Gamma(alpha+1)/Gamma(d/2+alpha+1) is below e^-1400.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_qc(d, alpha, 20.0, 1.0) == 0.0
+            assert kernel_qc(d, alpha, 20.0, 0.0) == 0.0
+            np.testing.assert_array_equal(kernel_qc(d, alpha, 20.0, [0.0, 0.5, 3.0]), 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_qc(0, 0.0, 2.0, 0.5)

@@ -135,8 +135,9 @@ def _scipy_modules_after(code, cwd):
 
 
 class TestColdStart:
-    """Small solves, evaluations, rules and the recurrence suite never load
-    scipy; an eigensolve of more than _DENSE_MAX_ROWS rows does."""
+    """Small solves, evaluations, rules, the recurrence suite and identity
+    checks at small c never load scipy; an eigensolve of more than
+    _DENSE_MAX_ROWS rows does."""
 
     def test_small_calls_keep_scipy_out(self, tmp_path):
         (tmp_path / "pts.txt").write_text("0.3 0.4\n-0.3 -0.4\n")
@@ -155,6 +156,27 @@ for args in (
         assert main(args.split()) == 0, args
 """
         assert _scipy_modules_after(code, tmp_path) == []
+
+    def test_small_identity_checks_keep_scipy_out(self, tmp_path):
+        # A Gram check of truncation K runs a rule of K + 1 nodes, so up to
+        # K = 31 its eigensolve stays within the dense cut.
+        code = """
+from ballprolate import lambda_eigenvalue, solve_pswfs
+from ballprolate.verify import hankel_residual, mu_rayleigh, orthonormality_gram
+assert orthonormality_gram(solve_pswfs(2, 0.5, 0.05, 0, 1)) < 1e-13
+f = solve_pswfs(2, 0.5, 0.5, 0, 4)[0]
+hankel_residual(f, lambda_eigenvalue(f))
+mu_rayleigh(2, 0.0, 0.5, 0, 0, radial_nodes=6, angular_nodes=8)
+"""
+        assert _scipy_modules_after(code, tmp_path) == []
+
+    def test_large_gram_check_loads_scipy_linalg(self, tmp_path):
+        # K = 35: the solve and the Gram rule are both 36 rows.
+        code = "from ballprolate import orthonormality_gram, solve_pswfs\n" \
+               "family = solve_pswfs(2, 0.0, 10.0, 0, 10)\n" \
+               "assert max(f.truncation for f in family) == 35\n" \
+               "orthonormality_gram(family)"
+        assert "scipy.linalg" in _scipy_modules_after(code, tmp_path)
 
     def test_large_truncation_loads_scipy_linalg(self, tmp_path):
         code = "from ballprolate import solve_pswfs\nsolve_pswfs(2, 0.0, 1.0, 0, 200)"

@@ -174,6 +174,27 @@ class TestJacobiEval:
         target = 2.0 ** (alpha + beta + 2.0) * np.eye(13)
         assert np.max(np.abs(gram - target)) > 1e-12
 
+    @pytest.mark.parametrize("alpha,beta", BASES + [(1.0, -0.9)])
+    @pytest.mark.parametrize("jmax", [1, 5, 18, 40])
+    def test_orthonormal_on_jmax_plus_one_nodes(self, alpha, beta, jmax):
+        # P~_a P~_b has degree at most 2 jmax, and jmax + 1 nodes integrate
+        # every degree up to 2 jmax + 1 exactly (the Gram check's rule).
+        # The worst case, (1, -0.9) at jmax = 40, reads 4.8e-14.
+        rule = gauss_jacobi(alpha, beta, jmax + 1)
+        vals = jacobi_eval(JacobiBasis(alpha, beta), jmax, rule.nodes)
+        gram = 2.0 ** -(alpha + beta + 2.0) * (vals * rule.weights) @ vals.T
+        assert np.max(np.abs(gram - np.eye(jmax + 1))) < 1e-13
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, -0.9)])
+    def test_jmax_nodes_lose_the_top_norm(self, alpha, beta):
+        # Negative control: the jmax nodes are the zeros of P~_jmax, so its
+        # discrete norm is 0 and the deviation from identity is 1.
+        jmax = 10
+        rule = gauss_jacobi(alpha, beta, jmax)
+        vals = jacobi_eval(JacobiBasis(alpha, beta), jmax, rule.nodes)
+        gram = 2.0 ** -(alpha + beta + 2.0) * (vals * rule.weights) @ vals.T
+        assert np.max(np.abs(gram - np.eye(jmax + 1))) == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize("alpha,beta", BASES)
     def test_leading_coefficient(self, alpha, beta):
         # kappa_n = C(2n+alpha+beta, n) / (2^n h_n) against the leading

@@ -22,6 +22,7 @@ from ballprolate.verify import (
     table_check,
 )
 from helpers import (
+    gram_matrix,
     lambda_from_hankel_fit,
     mu_rayleigh_reference,
     orthonormality_gram_reference,
@@ -169,6 +170,11 @@ class TestOrthonormality:
             family = solve_pswfs(d, alpha, 10.0, n, k_max)
             assert orthonormality_gram(family) == pytest.approx(
                 orthonormality_gram_reference(family), abs=1e-14)
+            # K + 1 nodes already integrate the degree-2K products exactly,
+            # so a rule of 2K nodes gives the same Gram matrix up to rounding.
+            K = max(f.truncation for f in family)
+            np.testing.assert_allclose(gram_matrix(family, K + 1), gram_matrix(family, max(2 * K, K + 1)),
+                                       rtol=0.0, atol=5e-13)
 
     def test_members_of_different_truncations(self):
         # The members with the smaller K are zero-padded to the larger one.
