@@ -15,33 +15,10 @@ from .errors import (
     NonPositiveLambda,
     TruncationNotConverged,
 )
-from .geometry import (
-    ball_poly_eval,
-    eval_phi,
-    eval_psi_ball,
-    eval_radial,
-    kernel_qc,
-    sph_harm_dim,
-    sph_harm_eval,
-)
+from .geometry import eval_psi_ball, eval_radial, kernel_qc, sph_harm_dim, sph_harm_eval
 from .linalg import QuadratureRule, TridiagonalSym, eig_symtridiag, gauss_jacobi
-from .pswf import (
-    PswfParams,
-    RadialPswf,
-    build_matrix,
-    chi_bounds,
-    gamma_coef,
-    lambda_eigenvalue,
-    perturbation_coeffs,
-    solve_pswfs,
-    truncation_size,
-)
-from .specfn import (
-    JacobiBasis,
-    bessel_j_scaled,
-    clenshaw,
-    jacobi_eval,
-)
+from .pswf import PswfParams, RadialPswf, build_matrix, lambda_eigenvalue, solve_pswfs
+from .specfn import JacobiBasis, bessel_j_scaled, clenshaw, jacobi_eval
 from .verify import (
     VerificationReport,
     hankel_residual,
@@ -61,16 +38,12 @@ __all__ = [
     "RadialPswf",
     "TridiagonalSym",
     "VerificationReport",
-    "ball_poly_eval",
     "bessel_j_scaled",
     "build_matrix",
-    "chi_bounds",
     "clenshaw",
     "eig_symtridiag",
-    "eval_phi",
     "eval_psi_ball",
     "eval_radial",
-    "gamma_coef",
     "gauss_jacobi",
     "hankel_residual",
     "jacobi_eval",
@@ -78,14 +51,12 @@ __all__ = [
     "lambda_eigenvalue",
     "mu_rayleigh",
     "orthonormality_gram",
-    "perturbation_coeffs",
     "recurrence_residual",
     "run_suite",
     "solve_pswfs",
     "sph_harm_dim",
     "sph_harm_eval",
     "table_check",
-    "truncation_size",
     "DegenerateEndpoint",
     "EigenConvergenceError",
     "IndexOutOfRange",

@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveLambda,
     TruncationNotConverged,
 )
-from .geometry import eval_phi, eval_psi_ball, eval_radial
+from .geometry import eval_psi_ball, eval_radial
 from .linalg import gauss_jacobi
 from .pswf import lambda_eigenvalue, solve_pswfs
 from .verify import SUITE_NAMES, run_suite, table_check
@@ -281,10 +281,7 @@ def cmd_eval(args) -> int:
     family = solve_pswfs(args.dim, args.alpha, args.c, args.n, args.k)
     f = family[args.k]
     grid = _parse_grid(args.r)
-    if args.form == "phi":
-        values = eval_phi(f, 2.0 * grid * grid - 1.0)
-    else:
-        values = eval_radial(f, grid, form=args.form)
+    values = eval_radial(f, grid, form=args.form)
     _emit(_float_csv(["r", "value"], np.column_stack([grid, values])), args.out)
     return EXIT_OK
 

@@ -27,14 +27,12 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .linalg import _validate_count
-from .pswf import RadialPswf
+from .pswf import RadialPswf, _log_weight_integral
 from .specfn import JacobiBasis, bessel_j_scaled, clenshaw, jacobi_eval
 
 __all__ = [
     "sph_harm_dim",
     "sph_harm_eval",
-    "ball_poly_eval",
-    "eval_phi",
     "eval_radial",
     "eval_psi_ball",
     "kernel_qc",
@@ -48,8 +46,8 @@ _LOG_TINY = math.log(sys.float_info.min)
 def sph_harm_dim(d: int, n: int) -> int:
     """Number of linearly independent spherical harmonics of degree n on
     S^(d-1): C(n+d-1, n) - C(n+d-3, n-2), the second term absent for n < 2."""
-    if d < 1 or n < 0:
-        raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
+    _validate_count(d, "dimension", 1)
+    _validate_count(n, "degree n")
     total = math.comb(n + d - 1, n)
     if n >= 2:
         total -= math.comb(n + d - 3, n - 2)
@@ -131,59 +129,23 @@ def sph_harm_eval(d: int, n: int, ell: int, point):
     return float(value[0]) if single else value
 
 
-def _ball_eval(d: int, n: int, ell: int, x, radial_part):
-    """radial_part(r) * Y_ell^n(x/r) at one point or an (N, d) array of points
-    of the closed unit ball, r = |x|; exactly 0 at the origin when n >= 1
-    (Y_ell^0 is constant, so the origin needs no direction when n = 0)."""
-    _check_harmonic(d, n, ell)
-    rows, single = _point_rows(d, x)
-    r = np.linalg.norm(rows, axis=1)
-    outside = ~(r <= 1.0 + 1e-12)
-    if outside.any():
-        raise ValueError(f"|x| = {r[outside][0]} lies outside the closed unit ball")
-    value = radial_part(r) * _harmonic(d, n, ell, _unit_rows(rows, r))
-    if n >= 1:
-        value[r == 0.0] = 0.0
-    return float(value[0]) if single else value
-
-
-def ball_poly_eval(d: int, alpha: float, n: int, k: int, ell: int, x):
-    """Orthonormal ball polynomial P~_k^{(alpha, beta_n)}(2|x|^2 - 1) |x|^n
-    Y_ell^n(x/|x|) on the closed unit ball, any d >= 1; 0 at x = 0 when
-    n >= 1.
-
-    x is one point, shape (d,), giving a float, or an (N, d) array giving an
-    (N,) array.
-    """
-    basis = JacobiBasis(alpha, n + d / 2.0 - 1.0)
-    return _ball_eval(
-        d, n, ell, x, lambda r: jacobi_eval(basis, k, 2.0 * r * r - 1.0)[k] * r ** n
-    )
-
-
-def eval_phi(pswf: RadialPswf, eta):
-    """Radial part phi(eta) as the Clenshaw sum of the solved coefficients.
-
-    eta may be a scalar or an ndarray and is not restricted to [-1, 1].
-    """
-    return clenshaw(pswf.basis, pswf.coeffs, eta)
-
-
 def eval_radial(pswf: RadialPswf, r, form: str = "plain"):
     """Radial profile at r >= 0 (values r > 1 are allowed).
 
     form "plain" gives r^n phi(2 r^2 - 1), the radial factor of the ball
     eigenfunction; form "slepian" gives r^(n + (d-1)/2) phi(2 r^2 - 1), the
-    singular normalization used in the classical disk literature.
+    singular normalization used in the classical disk literature; form "phi"
+    gives phi(2 r^2 - 1) alone, the Clenshaw sum of the solved coefficients.
+    ValueError unless every r is finite and non-negative.
     """
     p = pswf.params
-    if form == "plain":
-        power = float(p.n)
-    elif form == "slepian":
-        power = p.n + (p.d - 1) / 2.0
-    else:
-        raise ValueError(f"form must be 'plain' or 'slepian', got {form!r}")
+    powers = {"plain": float(p.n), "slepian": p.n + (p.d - 1) / 2.0, "phi": 0.0}
+    if form not in powers:
+        raise ValueError(f"form must be 'plain', 'slepian' or 'phi', got {form!r}")
+    power = powers[form]
     r_arr = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r_arr)):
+        raise ValueError("radius must be finite")
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be non-negative")
     phi = clenshaw(pswf.basis, pswf.coeffs, 2.0 * r_arr * r_arr - 1.0)
@@ -193,13 +155,25 @@ def eval_radial(pswf: RadialPswf, r, form: str = "plain"):
 
 def eval_psi_ball(pswf: RadialPswf, ell: int, x):
     """Full eigenfunction value r^n phi(2 r^2 - 1) Y_ell^n(x/r) on the closed
-    unit ball, r = |x|.
+    unit ball, r = |x|; exactly 0 at the origin when n >= 1 (Y_ell^0 is
+    constant, so the origin needs no direction when n = 0).  At c = 0 it is
+    the orthonormal ball polynomial P~_k^(alpha, beta_n)(2 r^2 - 1) r^n
+    Y_ell^n(x/r).
 
     x is one point, shape (d,), giving a float, or an (N, d) array giving an
     (N,) array.  ValueError if any point lies outside |x| <= 1 + 1e-12.
     """
     p = pswf.params
-    return _ball_eval(p.d, p.n, ell, x, lambda r: eval_radial(pswf, r, "plain"))
+    _check_harmonic(p.d, p.n, ell)
+    rows, single = _point_rows(p.d, x)
+    r = np.linalg.norm(rows, axis=1)
+    outside = ~(r <= 1.0 + 1e-12)
+    if outside.any():
+        raise ValueError(f"|x| = {r[outside][0]} lies outside the closed unit ball")
+    value = eval_radial(pswf, r) * _harmonic(p.d, p.n, ell, _unit_rows(rows, r))
+    if p.n >= 1:
+        value[r == 0.0] = 0.0
+    return float(value[0]) if single else value
 
 
 def kernel_qc(d: int, alpha: float, c: float, rho):
@@ -235,7 +209,7 @@ def kernel_qc(d: int, alpha: float, c: float, rho):
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     mu = d / 2.0 + alpha
     log_bessel_peak = -(mu * math.log(2.0) + math.lgamma(mu + 1.0))
-    log_kernel_peak = 0.5 * d * math.log(math.pi) + math.lgamma(alpha + 1.0) - math.lgamma(mu + 1.0)
+    log_kernel_peak = _log_weight_integral(d, alpha)
     if log_bessel_peak < _LOG_TINY and not log_kernel_peak < _LOG_TINY:
         raise ValueError(f"alpha = {alpha} is too large for the kernel in dimension {d}: "
                          f"J_mu(z)/z^mu with mu = {mu} is subnormal at every separation")

@@ -41,17 +41,13 @@ from .specfn import JacobiBasis, _recurrence_arrays, jacobi_eval
 __all__ = [
     "PswfParams",
     "RadialPswf",
-    "gamma_coef",
-    "truncation_size",
     "build_matrix",
     "solve_pswfs",
     "lambda_eigenvalue",
-    "perturbation_coeffs",
-    "chi_bounds",
 ]
 
 _CERTIFICATE_RTOL = 1e-15
-# K never grows past max(truncation_size, _TRUNCATION_CAP): the full
+# K never grows past max(_truncation_size, _TRUNCATION_CAP): the full
 # eigenvector matrix at K = 2048 takes 34 MB.
 _TRUNCATION_CAP = 2048
 _SIGN_PIVOT_FLOOR = 1e-12
@@ -135,28 +131,13 @@ class RadialPswf:
         return self.params.basis
 
 
-def gamma_coef(m, alpha: float, d: int):
-    """Sturm-Liouville eigenvalue m (m + 2 alpha + d) of the degree-m ball
-    polynomial, the c = 0 limit of chi.  m may be an integer or an integer
-    ndarray of degrees."""
-    if np.any(np.asarray(m) < 0):
-        raise ValueError(f"degree m must be non-negative, got {m}")
-    return m * (m + 2.0 * alpha + d)
-
-
-def truncation_size(d: int, alpha: float, n: int, k_max: int) -> int:
+def _truncation_size(alpha: float, n: int, k_max: int) -> int:
     """Upper starting truncation K of solve_pswfs for radial indices up to
-    k_max, and the floor of its cap max(truncation_size, 2048).
+    k_max, and the floor of its cap max(_truncation_size, 2048).
 
     With N = n + 2 k_max the cut-off is M = ceil(2N + 2 alpha) + 30 expansion
     degrees, i.e. K = ceil((M - n)/2) Jacobi coefficients.
     """
-    _validate_family(d, alpha, 0.0, n)
-    _validate_count(k_max, "k_max")
-    return _truncation_size(alpha, n, k_max)
-
-
-def _truncation_size(alpha: float, n: int, k_max: int) -> int:
     bandlimit = n + 2 * k_max
     cutoff = math.ceil(2 * bandlimit + 2 * alpha) + 30
     return math.ceil((cutoff - n) / 2)
@@ -219,10 +200,10 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
     returned in ascending chi, each with its residual certificate
     r_k = |A[K, K+1]| |v_k[K]| against the untruncated operator.  With
     J = ceil(c/2) + k_max + 20, past which the coefficients of modes up to
-    k_max are negligible, K starts at min(truncation_size, J), grows to J and
+    k_max are negligible, K starts at min(_truncation_size, J), grows to J and
     then by a factor 1.25, re-solving until max_k r_k <= 1e-15 max_k |chi_k|;
     a family certified at its starting K takes exactly one eigensolve.
-    TruncationNotConverged means K reached its cap, max(truncation_size,
+    TruncationNotConverged means K reached its cap, max(_truncation_size,
     2048), without the certificate holding.
 
     The family is validated once, and the modes share one read-only
@@ -251,6 +232,13 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
         K = min(cap, max(math.ceil(1.25 * K), J))
     rows = _apply_sign_rule(vectors, k_max + 1)
     return _solved_modes(d, alpha, c, n, K, values, rows)
+
+
+def _log_weight_integral(d: int, alpha: float) -> float:
+    """ln of the weight integral pi^(d/2) Gamma(alpha+1)/Gamma(alpha+d/2+1)
+    over the unit ball, the bound on |lambda| and the kernel's peak K(0)."""
+    return (0.5 * d * math.log(math.pi) + math.lgamma(alpha + 1.0)
+            - math.lgamma(alpha + d / 2.0 + 1.0))
 
 
 def _twisted_ratios(chi: float, m: int, diag, off, ends):
@@ -321,8 +309,7 @@ def lambda_eigenvalue(modes):
         - (p.n - 0.5) * math.log(2.0)
         - 0.5 * (math.lgamma(p.n + p.d / 2.0) + math.lgamma(p.alpha + p.n + p.d / 2.0 + 1.0))
     )
-    log_bound = (0.5 * p.d * math.log(math.pi) + math.lgamma(p.alpha + 1.0)
-                 - math.lgamma(p.alpha + p.d / 2.0 + 1.0))
+    log_bound = _log_weight_integral(p.d, p.alpha)
     name = "weight-integral"
     if p.alpha >= 0.0 and 0.5 * p.d * math.log(2.0 * math.pi / p.c) < log_bound:
         log_bound, name = 0.5 * p.d * math.log(2.0 * math.pi / p.c), "Plancherel"
@@ -352,28 +339,3 @@ def lambda_eigenvalue(modes):
             raise DegenerateEndpoint(f"lambda = {lam:.6e} for params {f.params}: {why}")
         lams.append(lam)
     return lams[0] if single else np.array(lams)
-
-
-def perturbation_coeffs(d: int, alpha: float, n: int, k: int) -> tuple[float, float, float]:
-    """Leading small-c perturbation coefficients (d_k1, B_minus, B_plus).
-
-    For c -> 0 the eigenvalue behaves as chi = gamma(n+2k) + d_k1 c^2 + O(c^4)
-    and the eigenfunction picks up c^2 (B_minus P~_{k-1} + B_plus P~_{k+1}).
-    """
-    _validate_family(d, alpha, 0.0, n)
-    _validate_count(k, "radial index k")
-    s = alpha + (n + d / 2.0 - 1.0)
-    a, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), k)
-    d_k1 = 0.5 * (b[k] + 1.0)
-    b_plus = -a[k] / (8.0 * (2 * k + s + 2.0))
-    b_minus = a[k - 1] / (8.0 * (2 * k + s)) if k else 0.0
-    return float(d_k1), float(b_minus), float(b_plus)
-
-
-def chi_bounds(params: PswfParams) -> tuple[float, float]:
-    """Strict enclosure gamma < chi < gamma + c^2 of the Sturm-Liouville
-    eigenvalue, with gamma = gamma_coef(n+2k).  Requires c > 0."""
-    if not params.c > 0.0:
-        raise ValueError("chi bounds hold for c > 0 only")
-    lower = gamma_coef(params.n + 2 * params.k, params.alpha, params.d)
-    return lower, lower + params.c ** 2

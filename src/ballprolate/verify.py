@@ -34,16 +34,15 @@ import numpy as np
 from . import tables
 from .geometry import kernel_qc
 from .linalg import _validate_count, gauss_jacobi
-from .pswf import (
-    RadialPswf,
-    _matrix_entries,
-    chi_bounds,
-    gamma_coef,
-    lambda_eigenvalue,
-    perturbation_coeffs,
-    solve_pswfs,
+from .pswf import RadialPswf, _log_weight_integral, _matrix_entries, lambda_eigenvalue, solve_pswfs
+from .specfn import (
+    JacobiBasis,
+    _bessel_j_family,
+    _norm_const,
+    _recurrence_arrays,
+    clenshaw,
+    jacobi_eval,
 )
-from .specfn import _bessel_j_family, _norm_const, clenshaw, jacobi_eval
 
 __all__ = [
     "CaseResult",
@@ -170,8 +169,9 @@ def hankel_residual(pswf: RadialPswf, lam: float, r_grid=DEFAULT_R_GRID) -> floa
     |lambda| max_r |phi(2r^2-1)|.  The integral side LHS is summed in closed
     form (see _hankel_sides), so the metric keeps its relative accuracy for
     tiny lambda at small c r: at d = 2, alpha = 0, c = 1, n = 2, k = 4, where
-    lambda ~ 3.7e-13, it reads below 1e-12.  r_grid may contain 0.  lam
-    must be finite and non-zero, since the metric divides by it.
+    lambda ~ 3.7e-13, it reads below 1e-12.  Every r_grid entry must be
+    finite and non-negative (0 is allowed), and lam finite and non-zero,
+    since the metric divides by it.
     """
     p = pswf.params
     if not p.c > 0.0:
@@ -179,6 +179,8 @@ def hankel_residual(pswf: RadialPswf, lam: float, r_grid=DEFAULT_R_GRID) -> floa
     if not (math.isfinite(lam) and lam != 0.0):
         raise ValueError(f"lam must be finite and non-zero, got {lam}")
     r = np.asarray(r_grid, dtype=float)
+    if not np.all((r >= 0.0) & np.isfinite(r)):
+        raise ValueError(f"r_grid entries must be finite and non-negative, got {r_grid}")
     lhs, rhs_shape = _hankel_sides(pswf, r)
     scale = abs(lam) * np.max(np.abs(rhs_shape))
     return float(np.max(np.abs(lhs - lam * rhs_shape)) / scale)
@@ -422,7 +424,10 @@ def _bounds_cases(family):
     p = family[0].params
     margin = -math.inf
     for f in family:
-        lower, upper = chi_bounds(f.params)
+        # Strict enclosure gamma(n+2k) < chi < gamma(n+2k) + c^2.
+        m = p.n + 2 * f.params.k
+        lower = m * (m + 2.0 * p.alpha + p.d)
+        upper = lower + p.c ** 2
         margin = max(margin, (lower - f.chi) / p.c ** 2, (f.chi - upper) / p.c ** 2)
     yield {"check": "enclosure"}, margin, BOUNDS_TOL
     chis = np.array([f.chi for f in family])
@@ -433,9 +438,8 @@ def _bounds_cases(family):
         yield ({"check": "lambda_decreasing"},
                float(np.max((lams[1:] - lams[:-1]) / lams[:-1])), BOUNDS_TOL)
     yield {"check": "lambda_positive"}, float(np.max(-lams)), BOUNDS_TOL
-    log_b = (0.5 * p.d * math.log(math.pi) + math.lgamma(p.alpha + 1.0)
-             - math.lgamma(p.alpha + p.d / 2.0 + 1.0))
-    yield {"check": "weight_integral"}, float(np.max(lams / math.exp(log_b) - 1.0)), BOUNDS_TOL
+    bound = math.exp(_log_weight_integral(p.d, p.alpha))
+    yield {"check": "weight_integral"}, float(np.max(lams / bound - 1.0)), BOUNDS_TOL
     if p.alpha >= 0.0:
         yield ({"check": "plancherel"},
                float(np.max(lams * (0.5 * p.c / math.pi) ** (0.5 * p.d) - 1.0)), BOUNDS_TOL)
@@ -445,7 +449,9 @@ def suite_perturbation() -> VerificationReport:
     """Small-bandwidth asymptotics of chi and lambda.
 
     The residual chi(c) - gamma - d_k1 c^2 must scale like c^4 within a
-    factor of two between c = 1e-1 and 1e-2; lambda(c)/c^(n+2k) must drift
+    factor of two between c = 1e-1 and 1e-2, where gamma = m (m + 2 alpha + d),
+    m = n + 2k, is chi at c = 0 and d_k1 = (b_k + 1)/2, b_k the Jacobi
+    recurrence entry of the (alpha, beta_n) family; lambda(c)/c^(n+2k) must drift
     by at most 1e-4 relative between c = 1e-2 and 1e-3; and for k = 0 the
     limit must match the closed form
     pi^(d/2) Gamma(alpha+1) / (2^n Gamma(alpha+n+d/2+1)) at c = 1e-4.
@@ -453,8 +459,9 @@ def suite_perturbation() -> VerificationReport:
     report = VerificationReport(suite="perturbation")
     for d, alpha, n, k in ((2, 0.0, 0, 0), (3, 1.0, 1, 1)):
         base = {"d": d, "alpha": alpha, "n": n, "k": k}
-        gamma = gamma_coef(n + 2 * k, alpha, d)
-        d_k1 = perturbation_coeffs(d, alpha, n, k)[0]
+        m = n + 2 * k
+        gamma = m * (m + 2.0 * alpha + d)
+        d_k1 = 0.5 * (_recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), k)[1][k] + 1.0)
 
         def excess(c):
             f = solve_pswfs(d, alpha, c, n, k)[k]

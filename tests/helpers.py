@@ -5,14 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from ballprolate.geometry import (
-    ball_poly_eval,
-    eval_phi,
-    eval_radial,
-    kernel_qc,
-    sph_harm_dim,
-    sph_harm_eval,
-)
+from ballprolate.geometry import eval_radial, kernel_qc, sph_harm_dim, sph_harm_eval
 from ballprolate.linalg import gauss_jacobi
 from ballprolate.pswf import build_matrix, solve_pswfs
 from ballprolate.specfn import (
@@ -237,6 +230,48 @@ def sph_harm_reference(d, n, ell, point):
     return radial * (math.cos(m * phi) if ell % 2 == 0 else math.sin(m * phi))
 
 
+def gamma_reference(m, alpha, d):
+    """Sturm-Liouville eigenvalue m (m + 2 alpha + d) of the degree-m ball
+    polynomial, the c = 0 limit of chi; m an integer or an integer array."""
+    return m * (m + 2.0 * alpha + d)
+
+
+def chi_enclosure(pswf):
+    """Strict enclosure gamma(n+2k) < chi < gamma(n+2k) + c^2 of a solved
+    mode at c > 0, as (lower, upper)."""
+    p = pswf.params
+    lower = gamma_reference(p.n + 2 * p.k, p.alpha, p.d)
+    return lower, lower + p.c ** 2
+
+
+def perturbation_reference(d, alpha, n, k):
+    """Leading small-c coefficients (d_k1, B_minus, B_plus): chi = gamma(n+2k)
+    + d_k1 c^2 + O(c^4), and the eigenvector picks up c^2 (B_minus P~_(k-1) +
+    B_plus P~_(k+1)), from the recurrence entries a_j, b_j of the
+    (alpha, beta_n) family with s = alpha + beta_n."""
+    beta_n = n + d / 2.0 - 1.0
+    s = alpha + beta_n
+    a, b = _recurrence_arrays(JacobiBasis(alpha, beta_n), k)
+    b_plus = -a[k] / (8.0 * (2 * k + s + 2.0))
+    b_minus = a[k - 1] / (8.0 * (2 * k + s)) if k else 0.0
+    return float(0.5 * (b[k] + 1.0)), float(b_minus), float(b_plus)
+
+
+def ball_poly_eval(d, alpha, n, k, ell, x):
+    """Orthonormal ball polynomial P~_k^(alpha, beta_n)(2|x|^2 - 1) |x|^n
+    Y_ell^n(x/|x|), 0 at x = 0 when n >= 1, from jacobi_eval and
+    sph_harm_eval: a route to eval_psi_ball at c = 0 that never touches the
+    solver.  x is one point, shape (d,), giving a float, or an (N, d) array
+    giving an (N,) array."""
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.linalg.norm(rows, axis=1)
+    directions = rows / np.where(r == 0.0, 1.0, r)[:, None]
+    directions[r == 0.0, 0] = 1.0
+    radial = jacobi_eval(JacobiBasis(alpha, n + d / 2.0 - 1.0), k, 2.0 * r * r - 1.0)[k]
+    value = radial * r ** n * sph_harm_eval(d, n, ell, directions)
+    return float(value[0]) if np.ndim(x) == 1 else value
+
+
 def ball_poly_reference(d, alpha, n, k, ell, x):
     """Per-point reference for ball_poly_eval at one point of the ball."""
     v = np.asarray(x, dtype=float)
@@ -253,7 +288,9 @@ def eval_psi_ball_reference(pswf, ell, x):
     v = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(v))
     if r == 0.0:
-        return 0.0 if p.n >= 1 else eval_phi(pswf, -1.0) * _constant_harmonic(p.d)
+        if p.n >= 1:
+            return 0.0
+        return clenshaw(pswf.basis, pswf.coeffs, -1.0) * _constant_harmonic(p.d)
     return eval_radial(pswf, r, "plain") * sph_harm_reference(p.d, p.n, ell, v / r)
 
 

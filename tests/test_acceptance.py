@@ -24,14 +24,7 @@ import numpy as np
 
 from ballprolate.geometry import eval_psi_ball
 from ballprolate.linalg import eig_symtridiag, gauss_jacobi
-from ballprolate.pswf import (
-    build_matrix,
-    chi_bounds,
-    gamma_coef,
-    lambda_eigenvalue,
-    perturbation_coeffs,
-    solve_pswfs,
-)
+from ballprolate.pswf import build_matrix, lambda_eigenvalue, solve_pswfs
 from ballprolate.specfn import JacobiBasis, bessel_j_scaled, jacobi_eval
 from ballprolate.verify import (
     hankel_residual,
@@ -41,8 +34,11 @@ from ballprolate.verify import (
 )
 from helpers import (
     ball_gram,
+    chi_enclosure,
     closed_form_moment,
+    gamma_reference,
     jacobi_coeffs,
+    perturbation_reference,
     sphere_fourier_residual,
     sphere_gram,
 )
@@ -145,7 +141,7 @@ def test_criterion_06_eigenvalue_bounds():
         if d == 1 and n > 1:
             continue
         for f in solve_pswfs(d, alpha, c, n, 4):
-            lower, upper = chi_bounds(f.params)
+            lower, upper = chi_enclosure(f)
             assert lower < f.chi < upper, (f.params, lower, f.chi, upper)
             worst_margin = max(worst_margin,
                                (lower - f.chi) / c ** 2, (f.chi - upper) / c ** 2)
@@ -185,8 +181,8 @@ def test_criterion_07_eigenvalue_ordering():
 def test_criterion_08_small_bandwidth_asymptotics():
     details = []
     for d, alpha, n, k in ((2, 0.0, 0, 0), (3, 1.0, 1, 1)):
-        gamma = gamma_coef(n + 2 * k, alpha, d)
-        d_k1 = perturbation_coeffs(d, alpha, n, k)[0]
+        gamma = gamma_reference(n + 2 * k, alpha, d)
+        d_k1 = perturbation_reference(d, alpha, n, k)[0]
 
         def excess(c):
             return abs(solve_pswfs(d, alpha, c, n, k)[k].chi - gamma - d_k1 * c * c)

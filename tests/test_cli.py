@@ -14,9 +14,10 @@ import pytest
 import ballprolate
 from ballprolate import cli
 from ballprolate.cli import _parse_grid, main
-from ballprolate.geometry import eval_phi, eval_psi_ball, eval_radial
+from ballprolate.geometry import eval_psi_ball, eval_radial
 from ballprolate.linalg import gauss_jacobi
-from ballprolate.pswf import lambda_eigenvalue, solve_pswfs
+from ballprolate.pswf import _truncation_size, lambda_eigenvalue, solve_pswfs
+from ballprolate.specfn import clenshaw
 
 
 def run(capsys, *argv):
@@ -42,7 +43,10 @@ class TestCsvBytes:
         assert code == 0
         f = solve_pswfs(2, -0.5, 6.0, 0, 3)[3]
         r = _parse_grid(grid)
-        values = eval_radial(f, r, "slepian") if form == "slepian" else eval_phi(f, 2 * r * r - 1)
+        if form == "slepian":
+            values = eval_radial(f, r, "slepian")
+        else:
+            values = clenshaw(f.basis, f.coeffs, 2 * r * r - 1)
         assert (values < 0).any()
         assert out == per_row_csv(["r", "value"], [r, values])
 
@@ -301,14 +305,12 @@ class TestSolve:
             assert float(fields[2]) == pytest.approx(lambda_eigenvalue(f), rel=1e-15)
 
     def test_large_bandwidth_grows_truncation(self, capsys):
-        from ballprolate.pswf import truncation_size
-
         code, out, _ = run(capsys, "solve", "--dim", "2", "--alpha", "0", "--c", "100",
                            "--n", "0", "--k-max", "3")
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [r[0] for r in rows] == ["0", "1", "2", "3"]
-        assert all(int(r[4]) > truncation_size(2, 0.0, 0, 3) for r in rows)
+        assert all(int(r[4]) > _truncation_size(0.0, 0, 3) for r in rows)
 
     def test_validation_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", "--dim", "2", "--alpha", "-2", "--c", "1",
@@ -368,6 +370,14 @@ class TestEval:
             r, value = (float(x) for x in line.split(","))
             expected = float(jacobi_eval(basis, 2, 2.0 * r * r - 1.0)[2])
             assert value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("form", ["plain", "slepian", "phi"])
+    def test_negative_radius_rejected_in_every_form(self, capsys, form):
+        code, out, err = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",
+                             "--n", "0", "--k", "0", "--form", form, "--r=-0.5:0.5:0.5")
+        assert code == 2
+        assert "radius must be non-negative" in err
+        assert out == ""
 
     def test_malformed_grid(self, capsys):
         code, _, err = run(capsys, "eval", "--dim", "2", "--alpha", "0", "--c", "1",

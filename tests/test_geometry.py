@@ -10,8 +10,6 @@ from scipy.special import eval_gegenbauer
 
 from ballprolate.errors import IndexOutOfRange
 from ballprolate.geometry import (
-    ball_poly_eval,
-    eval_phi,
     eval_psi_ball,
     eval_radial,
     kernel_qc,
@@ -23,6 +21,7 @@ from ballprolate.pswf import solve_pswfs
 from ballprolate.specfn import JacobiBasis, jacobi_eval
 from helpers import (
     ball_gram,
+    ball_poly_eval,
     ball_poly_reference,
     eval_psi_ball_reference,
     kernel_qc_quadrature,
@@ -51,6 +50,15 @@ class TestSphHarmDim:
             sph_harm_dim(0, 1)
         with pytest.raises(ValueError):
             sph_harm_dim(2, -1)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, -1])
+    def test_counts_must_be_integers(self, value):
+        # A ValueError that names the argument, not math.comb's TypeError.
+        with pytest.raises(ValueError, match=f"^dimension must be an integer >= 1, got {value}$"):
+            sph_harm_dim(value, 1)
+        message = f"^degree n must be a non-negative integer, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            sph_harm_dim(3, value)
 
 
 class TestSphHarmEval:
@@ -188,17 +196,20 @@ class TestBallPoly:
 
 
 class TestEvalPhi:
+    """The phi form of eval_radial: phi(eta) at eta = 2 r^2 - 1."""
+
     def test_zero_bandwidth_is_jacobi(self):
         f = solve_pswfs(3, 1.0, 0.0, 1, 2)[2]
         basis = JacobiBasis(1.0, 1.5)
-        for eta in (-1.0, -0.5, 0.2, 1.0, 7.0):
-            assert eval_phi(f, eta) == pytest.approx(
+        for r in (0.0, 0.5, math.sqrt(0.6), 1.0, 2.0):
+            eta = 2.0 * r * r - 1.0
+            assert eval_radial(f, r, form="phi") == pytest.approx(
                 float(jacobi_eval(basis, 2, eta)[2]), rel=1e-14
             )
 
     def test_disk_table_point(self):
         f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
-        assert math.sqrt(0.5) * eval_phi(f, -0.5) == pytest.approx(
+        assert math.sqrt(0.5) * eval_radial(f, 0.5, form="phi") == pytest.approx(
             1.030440043954435, rel=1e-12
         )
 
@@ -234,6 +245,21 @@ class TestEvalRadial:
         with pytest.raises(ValueError):
             eval_radial(f, 0.5, form="nope")
 
+    @pytest.mark.parametrize("form", ["plain", "slepian", "phi"])
+    def test_negative_radius_rejected_in_every_form(self, form):
+        f = solve_pswfs(2, 0.0, 2.0, 1, 1)[1]
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            eval_radial(f, np.array([0.5, -0.5]), form=form)
+
+    @pytest.mark.parametrize("form", ["plain", "slepian", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, form, bad):
+        f = solve_pswfs(2, 0.0, 2.0, 1, 1)[1]
+        with pytest.raises(ValueError, match="radius must be finite"):
+            eval_radial(f, bad, form=form)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            eval_radial(f, np.array([0.5, bad]), form=form)
+
 
 class TestEvalPsiBall:
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -266,7 +292,7 @@ class TestEvalPsiBall:
 
     def test_origin_cases(self):
         f0 = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
-        expected = eval_phi(f0, -1.0) / math.sqrt(2.0 * math.pi)
+        expected = eval_radial(f0, 0.0, form="phi") / math.sqrt(2.0 * math.pi)
         assert eval_psi_ball(f0, 1, (0.0, 0.0)) == pytest.approx(expected, rel=1e-14)
         f1 = solve_pswfs(2, 0.0, 1.0, 1, 0)[0]
         assert eval_psi_ball(f1, 1, (0.0, 0.0)) == 0.0
@@ -357,8 +383,6 @@ class TestArrayContract:
         outside[-3] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="outside the closed unit ball"):
             eval_psi_ball(f, 1, outside)
-        with pytest.raises(ValueError, match="outside the closed unit ball"):
-            ball_poly_eval(2, 0.0, 1, 0, 1, outside)
         with pytest.raises(ValueError, match="coordinates"):
             eval_psi_ball(f, 1, np.zeros((4, 3)))
         with pytest.raises(ValueError, match="unit vector"):
@@ -368,14 +392,14 @@ class TestArrayContract:
             eval_psi_ball(f, 3, np.zeros((2, 2)))
         # At d = 5 the origin takes the constant harmonic 1/sqrt(|S^4|) = 1/sqrt(8 pi^2/3).
         f5 = solve_pswfs(5, 0.0, 2.0, 0, 0)[0]
-        at_origin = eval_phi(f5, -1.0) / math.sqrt(8.0 * math.pi ** 2 / 3.0)
+        at_origin = eval_radial(f5, 0.0, form="phi") / math.sqrt(8.0 * math.pi ** 2 / 3.0)
         assert eval_psi_ball(f5, 1, np.zeros((2, 5))) == pytest.approx([at_origin] * 2, rel=1e-14)
 
     def test_origin_rows(self):
         f0 = solve_pswfs(3, 0.0, 1.0, 0, 1)[1]
         f1 = solve_pswfs(3, 0.0, 1.0, 1, 1)[1]
         batch = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])
-        at_origin = eval_phi(f0, -1.0) / math.sqrt(4.0 * math.pi)
+        at_origin = eval_radial(f0, 0.0, form="phi") / math.sqrt(4.0 * math.pi)
         assert eval_psi_ball(f0, 1, batch)[[0, 2]] == pytest.approx([at_origin] * 2, rel=1e-14)
         values = eval_psi_ball(f1, 2, batch)
         assert values[0] == 0.0 and math.copysign(1.0, values[0]) == 1.0

@@ -17,15 +17,12 @@ from ballprolate.errors import DegenerateEndpoint, NonPositiveLambda, Truncation
 from ballprolate.linalg import eig_symtridiag
 from ballprolate.pswf import (
     _apply_sign_rule,
+    _truncation_size,
     PswfParams,
     RadialPswf,
     build_matrix,
-    chi_bounds,
-    gamma_coef,
     lambda_eigenvalue,
-    perturbation_coeffs,
     solve_pswfs,
-    truncation_size,
 )
 from ballprolate.specfn import JacobiBasis, _cached_recurrence, _recurrence_arrays
 from ballprolate.verify import recurrence_residual
@@ -33,7 +30,10 @@ import oracle
 from helpers import (
     BIT_IDENTITY_GRID,
     bit_identity_families,
+    chi_enclosure,
+    gamma_reference,
     jacobi_coeffs,
+    perturbation_reference,
     sign_pass_reference,
     sign_rule_reference,
 )
@@ -49,36 +49,24 @@ def lambda0_limit(d, alpha, n):
 
 class TestGammaCoef:
     def test_values(self):
-        assert gamma_coef(0, 0.3, 2) == 0.0
-        assert gamma_coef(2, 0.0, 2) == 8.0
-        assert gamma_coef(3, 1.0, 3) == 24.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_coef(-1, 0.0, 2)
+        # At c = 0, chi of mode k is gamma(n + 2k) = m (m + 2 alpha + d).
+        assert solve_pswfs(2, 0.3, 0.0, 0, 0)[0].chi == 0.0
+        assert solve_pswfs(2, 0.0, 0.0, 0, 1)[1].chi == 8.0
+        assert solve_pswfs(3, 1.0, 0.0, 1, 1)[1].chi == 24.0
 
 
 class TestTruncationSize:
     def test_examples(self):
-        assert truncation_size(2, 0.0, 0, 0) == 15
-        assert truncation_size(3, 1.0, 1, 3) == 23
-        assert truncation_size(2, 0.5, 0, 2) == 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            truncation_size(2, 0.0, 0, -1)
-        with pytest.raises(ValueError):
-            truncation_size(1, 0.0, 2, 0)
-        for k_max in (2.5, 2.0):
-            with pytest.raises(ValueError, match="k_max must be a non-negative integer"):
-                truncation_size(2, 0.0, 0, k_max)
-        assert truncation_size(2, 0.5, 0, np.int64(2)) == 20
+        assert _truncation_size(0.0, 0, 0) == 15
+        assert _truncation_size(1.0, 1, 3) == 23
+        assert _truncation_size(0.5, 0, 2) == 20
+        assert _truncation_size(0.5, 0, np.int64(2)) == 20
 
 
 class TestBuildMatrix:
     def test_zero_bandwidth_is_diagonal(self):
         tri = build_matrix(3, 0.5, 0.0, 1, 6)
-        expected = [gamma_coef(1 + 2 * j, 0.5, 3) for j in range(7)]
+        expected = [gamma_reference(1 + 2 * j, 0.5, 3) for j in range(7)]
         np.testing.assert_allclose(tri.diag, expected, rtol=1e-15)
         assert np.all(tri.offdiag == 0.0)
 
@@ -96,10 +84,10 @@ class TestBuildMatrix:
         (5, 2.5, 60.0, 2, 53), (20, 60.0, 1000.0, 100, 300),
     ])
     def test_diagonal_matches_gamma_coef_bytes(self, d, alpha, c, n, K):
-        # The inlined Sturm-Liouville term is gamma_coef's expression, so the
-        # diagonal keeps its bytes.
+        # The Sturm-Liouville term is m (m + 2 alpha + d), so the diagonal
+        # keeps its bytes.
         _, b = _recurrence_arrays(JacobiBasis(alpha, n + d / 2.0 - 1.0), K)
-        expected = gamma_coef(n + 2 * np.arange(K + 1), alpha, d) + (b + 1.0) * (0.5 * c * c)
+        expected = gamma_reference(n + 2 * np.arange(K + 1), alpha, d) + (b + 1.0) * (0.5 * c * c)
         assert build_matrix(d, alpha, c, n, K).diag.tobytes() == expected.tobytes()
 
     def test_validation(self):
@@ -138,7 +126,7 @@ class TestSolve:
     @pytest.mark.parametrize("d,alpha,n,k", [(2, 0.0, 0, 0), (3, 1.5, 2, 3), (1, 0.0, 1, 2)])
     def test_zero_bandwidth_reduction(self, d, alpha, n, k):
         f = solve_pswfs(d, alpha, 0.0, n, k)[k]
-        assert f.chi == gamma_coef(n + 2 * k, alpha, d)
+        assert f.chi == gamma_reference(n + 2 * k, alpha, d)
         expected = np.zeros(f.truncation + 1)
         expected[k] = 1.0
         assert np.array_equal(f.coeffs, expected)
@@ -223,17 +211,17 @@ class TestSolve:
 
     def test_certificate_at_floor_takes_one_eigensolve(self, monkeypatch):
         calls = self._spy_eigensolves(monkeypatch)
-        K = truncation_size(3, 1.0, 2, 4)
+        K = _truncation_size(1.0, 2, 4)
         assert solve_pswfs(3, 1.0, 10.0, 2, 4)[0].truncation == K
         assert calls == [(K + 1, False)]
 
     def test_lower_start_takes_one_eigensolve(self, monkeypatch):
-        # K starts at ceil(c/2) + k_max + 20 = 221, below truncation_size =
+        # K starts at ceil(c/2) + k_max + 20 = 221, below _truncation_size =
         # 415, and the certificate holds there.
         calls = self._spy_eigensolves(monkeypatch)
         family = solve_pswfs(2, 0.0, 1.0, 0, 200)
         K = family[0].truncation
-        assert (K, truncation_size(2, 0.0, 0, 200)) == (221, 415)
+        assert (K, _truncation_size(0.0, 0, 200)) == (221, 415)
         assert calls == [(K + 1, False)]
         assert _certificate_holds(family)
         reference, _ = eig_symtridiag(build_matrix(2, 0.0, 1.0, 0, 415))
@@ -241,9 +229,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("k", [0, 15, 30])
     def test_lower_start_matches_oracle(self, k):
-        # truncation_size gives K = 77 here; the lower start solves at 51.
+        # _truncation_size gives K = 77 here; the lower start solves at 51.
         f = solve_pswfs(3, 1.0, 2.0, 1, 30)[k]
-        assert (f.truncation, truncation_size(3, 1.0, 1, 30)) == (51, 77)
+        assert (f.truncation, _truncation_size(1.0, 1, 30)) == (51, 77)
         chi, lam = oracle.mode(3, 1.0, 2.0, 1, k, 2 * (f.truncation + 1), hint=f.chi)
         assert f.chi == pytest.approx(float(chi), rel=1e-14, abs=1e-14)
         assert lambda_eigenvalue(f) == pytest.approx(float(lam), rel=1e-12)
@@ -251,7 +239,7 @@ class TestSolve:
     def test_certificate_failure_at_cap_raises(self, monkeypatch):
         # Negative control: c = 30 needs K > 15, so with growth capped at the
         # floor the certificate must fail loudly instead of returning.
-        monkeypatch.setattr(pswf_module, "_TRUNCATION_CAP", truncation_size(2, 0.0, 0, 0))
+        monkeypatch.setattr(pswf_module, "_TRUNCATION_CAP", _truncation_size(0.0, 0, 0))
         message = (r"\(d=2, alpha=0.0, c=30.0, n=0, k_max=0\) failed at the cap K=15: "
                    r"worst r_k/max\|chi\| = \d\.\d{3}e-\d\d at k=0$")
         with pytest.raises(TruncationNotConverged, match=message):
@@ -265,7 +253,7 @@ class TestSolve:
     ])
     def test_grown_family_carries_certificate(self, d, alpha, c, n, k_max):
         family = solve_pswfs(d, alpha, c, n, k_max)
-        assert family[0].truncation > truncation_size(d, alpha, n, k_max)
+        assert family[0].truncation > _truncation_size(alpha, n, k_max)
         assert _certificate_holds(family)
 
     def test_validation(self):
@@ -652,7 +640,7 @@ class TestRobustnessSweep:
     def test_every_mode_is_accurate_or_underflows(self):
         # Every family carries its residual certificate and a recurrence
         # residual at rounding level: 204 of the 400 families, most of those
-        # at alpha = 60 or n = 100, start K below truncation_size.  LAPACK's
+        # at alpha = 60 or n = 100, start K below _truncation_size.  LAPACK's
         # vectors have residual O(eps max|A|), which for low modes of wide
         # families exceeds eps (|chi| + c^2): mode 4 of (1, -0.9, 5, 0, 80)
         # reads 1.43e-13 at K = 103, so the recurrence bound here is 1e-12
@@ -693,7 +681,7 @@ class TestRecurrenceReuse:
     def test_family_and_its_lambdas_compute_the_recurrence_once(self):
         _cached_recurrence.cache_clear()
         family = solve_pswfs(3, 1.0, 10.0, 2, 8)
-        assert family[0].truncation == truncation_size(3, 1.0, 2, 8)
+        assert family[0].truncation == _truncation_size(1.0, 2, 8)
         for f in family:
             lambda_eigenvalue(f)
         lambda_eigenvalue(family)
@@ -726,13 +714,13 @@ class TestMu:
 
 class TestPerturbation:
     def test_disk_leading_coefficient(self):
-        d_k1, b_minus, b_plus = perturbation_coeffs(2, 0.0, 0, 0)
+        d_k1, b_minus, b_plus = perturbation_reference(2, 0.0, 0, 0)
         assert d_k1 == pytest.approx(0.5, rel=1e-15)
         assert b_minus == 0.0
         assert b_plus == pytest.approx(-1.0 / (16.0 * math.sqrt(3.0)), rel=1e-14)
 
     def test_chi_prediction_to_fourth_order(self):
-        d_k1 = perturbation_coeffs(2, 0.0, 0, 0)[0]
+        d_k1 = perturbation_reference(2, 0.0, 0, 0)[0]
         chi = solve_pswfs(2, 0.0, 0.1, 0, 0)[0].chi
         assert chi + 0.75 == pytest.approx(7.549989583334328e-01, rel=1e-13)
         assert abs(chi - d_k1 * 0.01) < 2e-6
@@ -741,7 +729,7 @@ class TestPerturbation:
         # Fit of the first-order eigenvector correction from small-c solves:
         # beta_{k+1}(c)/c^2 -> B_plus and beta_{k-1}(c)/c^2 -> B_minus.
         d, alpha, n, k = 3, 1.0, 1, 2
-        _, b_minus, b_plus = perturbation_coeffs(d, alpha, n, k)
+        _, b_minus, b_plus = perturbation_reference(d, alpha, n, k)
         for c in (1e-2, 1e-3):
             f = solve_pswfs(d, alpha, c, n, k)[k]
             assert f.coeffs[k + 1] / c ** 2 == pytest.approx(b_plus, rel=1e-3)
@@ -749,8 +737,8 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("d,alpha,n,k", [(2, 0.0, 0, 0), (3, 1.0, 1, 1)])
     def test_quartic_scaling_of_chi_excess(self, d, alpha, n, k):
-        gamma = gamma_coef(n + 2 * k, alpha, d)
-        d_k1 = perturbation_coeffs(d, alpha, n, k)[0]
+        gamma = gamma_reference(n + 2 * k, alpha, d)
+        d_k1 = perturbation_reference(d, alpha, n, k)[0]
 
         def excess(c):
             return abs(solve_pswfs(d, alpha, c, n, k)[k].chi - gamma - d_k1 * c * c)
@@ -767,31 +755,19 @@ class TestPerturbation:
         assert abs(reduced(1e-2) / reduced(1e-3) - 1.0) <= 1e-4
 
 
-    @pytest.mark.parametrize("k", [2.5, 1.0, -1])
-    def test_radial_index_must_be_a_non_negative_integer(self, k):
-        with pytest.raises(ValueError, match="radial index k must be a non-negative integer"):
-            perturbation_coeffs(2, 0.0, 0, k)
-
-
 class TestChiBounds:
     def test_ball_example(self):
-        params = PswfParams(d=3, alpha=1.0, c=0.1, n=0, k=0)
-        lower, upper = chi_bounds(params)
+        f = solve_pswfs(3, 1.0, 0.1, 0, 0)[0]
+        lower, upper = chi_enclosure(f)
         assert (lower, upper) == (0.0, pytest.approx(0.01, rel=1e-15))
-        chi = solve_pswfs(3, 1.0, 0.1, 0, 0)[0].chi
-        assert lower < chi < upper
+        assert lower < f.chi < upper
 
     def test_disk_example(self):
-        params = PswfParams(d=2, alpha=0.0, c=10.0, n=0, k=0)
-        lower, upper = chi_bounds(params)
+        f = solve_pswfs(2, 0.0, 10.0, 0, 0)[0]
+        lower, upper = chi_enclosure(f)
         assert (lower, upper) == (0.0, pytest.approx(100.0))
-        chi = solve_pswfs(2, 0.0, 10.0, 0, 0)[0].chi
-        assert lower < chi < upper
-        assert chi == pytest.approx(1.869010993969090e+01 - 0.75, rel=1e-13)
-
-    def test_requires_positive_bandwidth(self):
-        with pytest.raises(ValueError):
-            chi_bounds(PswfParams(d=2, alpha=0.0, c=0.0, n=0, k=0))
+        assert lower < f.chi < upper
+        assert f.chi == pytest.approx(1.869010993969090e+01 - 0.75, rel=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
@@ -810,7 +786,7 @@ class TestChiBounds:
             if alpha >= 0.0:
                 assert all(x > y for x, y in zip(lams, lams[1:]))
             for f in family:
-                lower, upper = chi_bounds(f.params)
+                lower, upper = chi_enclosure(f)
                 assert lower < f.chi < upper
 
     def test_lambda_ordering_holds_at_negative_alpha_small_bandwidth(self):

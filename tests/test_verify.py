@@ -91,6 +91,17 @@ class TestHankelResidual:
             with pytest.raises(ValueError, match="lam must be finite and non-zero"):
                 hankel_residual(f, lam)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_non_finite_or_negative_radius(self, bad):
+        f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
+        lam = lambda_eigenvalue(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r_grid entries must be finite and non-negative"):
+                hankel_residual(f, lam, [0.5, bad])
+        # The grid may start at 0.
+        assert hankel_residual(f, lam, [0.0, 0.5]) < 1e-10
+
     @pytest.mark.parametrize("d,alpha", [(2, 0.0), (3, 1.0), (2, -0.5)])
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_route_agreement(self, d, alpha, c):
