@@ -248,32 +248,33 @@ def _parse_points(path: str, d: int) -> np.ndarray:
 
 def cmd_solve(args) -> int:
     family = solve_pswfs(args.dim, args.alpha, args.c, args.n, args.k_max)
-    lambdas = lambda_eigenvalue(family).tolist() if args.c > 0 else [None] * len(family)
+    chis, K = family.chi.tolist(), family.truncation
+    lambdas = lambda_eigenvalue(family).tolist() if args.c > 0 else [None] * len(chis)
     if args.format == "json":
         payload = {
             "params": {"d": args.dim, "alpha": args.alpha, "c": args.c, "n": args.n},
             "results": [
                 {
-                    "k": f.params.k,
-                    "chi": f.chi,
+                    "k": k,
+                    "chi": chi,
                     "lambda": lam,
                     "mu": lam * lam if lam is not None else None,
-                    "K": f.truncation,
-                    "coeffs": f.coeffs.tolist(),
+                    "K": K,
+                    "coeffs": coeffs,
                 }
-                for f, lam in zip(family, lambdas)
+                for k, (chi, lam, coeffs) in enumerate(zip(chis, lambdas, family.block.tolist()))
             ],
         }
         _emit(json.dumps(payload), args.out)
     else:
         if args.c > 0:
             line = "%d,%.15e,%.15e,%.15e,%d\n"
-            values = [v for f, lam in zip(family, lambdas)
-                      for v in (f.params.k, f.chi, lam, lam * lam, f.truncation)]
+            values = [v for k, (chi, lam) in enumerate(zip(chis, lambdas))
+                      for v in (k, chi, lam, lam * lam, K)]
         else:
             line = "%d,%.15e,,,%d\n"
-            values = [v for f in family for v in (f.params.k, f.chi, f.truncation)]
-        _emit("k,chi,lambda,mu,K\n" + (line * len(family)) % tuple(values), args.out)
+            values = [v for k, chi in enumerate(chis) for v in (k, chi, K)]
+        _emit("k,chi,lambda,mu,K\n" + (line * len(chis)) % tuple(values), args.out)
     return EXIT_OK
 
 

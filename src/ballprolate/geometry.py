@@ -124,7 +124,7 @@ def sph_harm_eval(d: int, n: int, ell: int, point):
     norm = np.linalg.norm(rows, axis=1)
     bad = ~(np.abs(norm - 1.0) <= _UNIT_NORM_TOL)
     if bad.any():
-        raise ValueError(f"|x| = {norm[bad][0]!r} is not a unit vector")
+        raise ValueError(f"|x| = {norm[bad][0].item()!r} is not a unit vector")
     value = _harmonic(d, n, ell, rows / norm[:, None])
     return float(value[0]) if single else value
 

@@ -100,13 +100,9 @@ class RadialPswf:
     family, with the sign fixed so that coeffs[k] > 0 (falling back to a
     positive largest-magnitude coefficient when coeffs[k] is negligible).
 
-    The constructor keeps a read-only copy of coeffs, so a mode never
-    shares its coefficients with an array the caller can still write.  The
-    modes solve_pswfs returns instead hold their coeffs as read-only rows
-    of one (k_max+1, K+1) block per family, mode k in row k, so keeping one
-    mode keeps its family's whole block alive.  Copies and pickles are
-    rebuilt through the constructor, so they are checked and read-only
-    too."""
+    The constructor, which copies and pickles go through, checks coeffs and
+    keeps a read-only copy of it; the modes of a RadialFamily are views
+    whose coeffs is their row of the family's block."""
 
     params: PswfParams
     chi: float
@@ -129,6 +125,65 @@ class RadialPswf:
     @property
     def basis(self) -> JacobiBasis:
         return self.params.basis
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RadialFamily:
+    """The modes k = 0..k_max of one solved (d, alpha, c, n), kept as the
+    eigensolve's read-only arrays: chi, ascending; block, the sign-fixed
+    C-contiguous (k_max+1, K+1) coefficients, mode k in row k; and
+    certificate, the residuals r_k of solve_pswfs.  family[k] (negative k
+    too), iteration and slices (lists) give RadialPswf views, built only
+    when asked for and afresh each time; a view's coeffs is its row of the
+    block.  The constructor checks its arguments and keeps read-only
+    C-contiguous copies of the arrays; copies and pickles go through it."""
+
+    d: int
+    alpha: float
+    c: float
+    n: int
+    truncation: int
+    chi: np.ndarray
+    block: np.ndarray
+    certificate: np.ndarray
+    # `in` would compare fresh views by ==, which raises on their coeffs arrays.
+    __contains__ = None
+
+    def __post_init__(self):
+        _validate_family(self.d, self.alpha, self.c, self.n)
+        _validate_count(self.truncation, "truncation K")
+        chi, block, cert = (np.array(a, dtype=float, order="C")
+                            for a in (self.chi, self.block, self.certificate))
+        if not (chi.ndim == 1 and chi.size and cert.shape == chi.shape
+                and block.shape == (chi.size, self.truncation + 1)):
+            raise ValueError("chi and certificate must be (M,), M >= 1, and block (M, K+1)")
+        for name, value in (("chi", chi), ("block", block), ("certificate", cert)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return RadialFamily, (self.d, self.alpha, self.c, self.n, self.truncation,
+                              self.chi, self.block, self.certificate)
+
+    def __len__(self):
+        return len(self.chi)
+
+    def __iter__(self):
+        return map(self._view, range(len(self.chi)), self.chi.tolist(), self.block)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self.chi))[k]]
+        k = range(len(self.chi))[k]
+        return self._view(k, self.chi[k].item(), self.block[k])
+
+    def _view(self, k, chi, coeffs):
+        # The family's checks hold for its modes: views skip the constructors.
+        params = object.__new__(PswfParams)
+        params.__dict__.update(d=self.d, alpha=self.alpha, c=self.c, n=self.n, k=k)
+        mode = object.__new__(RadialPswf)
+        mode.__dict__.update(params=params, chi=chi, coeffs=coeffs, truncation=self.truncation)
+        return mode
 
 
 def _truncation_size(alpha: float, n: int, k_max: int) -> int:
@@ -175,39 +230,20 @@ def _apply_sign_rule(vectors: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
-def _solved_modes(
-    d: int, alpha: float, c: float, n: int, K: int, values: np.ndarray, rows: np.ndarray
-) -> list[RadialPswf]:
-    """RadialPswf records of one solved family, built without re-running
-    the public constructors' per-mode checks, which hold for the whole
-    family here: solve_pswfs validated (d, alpha, c, n) and k_max, k runs
-    over the integers 0..k_max, and rows is a read-only block whose rows
-    have length K+1.  Mode k's coeffs is row k, a view of the block."""
-    modes = []
-    for k, (chi, coeffs) in enumerate(zip(values.tolist(), rows)):
-        params = object.__new__(PswfParams)
-        params.__dict__.update(d=d, alpha=alpha, c=c, n=n, k=k)
-        mode = object.__new__(RadialPswf)
-        mode.__dict__.update(params=params, chi=chi, coeffs=coeffs, truncation=K)
-        modes.append(mode)
-    return modes
-
-
-def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[RadialPswf]:
+def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> RadialFamily:
     """Solve the radial eigenproblem for k = 0..k_max.
 
     The k_max+1 smallest eigenpairs of the matrix truncated at K are
-    returned in ascending chi, each with its residual certificate
-    r_k = |A[K, K+1]| |v_k[K]| against the untruncated operator.  With
-    J = ceil(c/2) + k_max + 20, past which the coefficients of modes up to
-    k_max are negligible, K starts at min(_truncation_size, J), grows to J and
-    then by a factor 1.25, re-solving until max_k r_k <= 1e-15 max_k |chi_k|;
-    a family certified at its starting K takes exactly one eigensolve.
-    TruncationNotConverged means K reached its cap, max(_truncation_size,
-    2048), without the certificate holding.
-
-    The family is validated once, and the modes share one read-only
-    coefficient block: mode k's coeffs is its row k.
+    returned as one RadialFamily, in ascending chi, with their residual
+    certificates r_k = |A[K, K+1]| |v_k[K]| against the untruncated
+    operator.  With J = ceil(c/2) + k_max + 20, past which the coefficients
+    of modes up to k_max are negligible, K starts at min(_truncation_size,
+    J), grows to J and then by a factor 1.25, re-solving until
+    max_k r_k <= 1e-15 max_k |chi_k|; a family certified at its starting K
+    takes exactly one eigensolve.  TruncationNotConverged means K reached
+    its cap, max(_truncation_size, 2048), without the certificate holding.
+    The family is validated once, and its modes are views built only when
+    indexed or iterated.
     """
     _validate_family(d, alpha, c, n)
     _validate_count(k_max, "k_max")
@@ -230,8 +266,13 @@ def solve_pswfs(d: int, alpha: float, c: float, n: int, k_max: int) -> list[Radi
                 f"{residual[k] / scale:.3e} at k={k}"
             )
         K = min(cap, max(math.ceil(1.25 * K), J))
-    rows = _apply_sign_rule(vectors, k_max + 1)
-    return _solved_modes(d, alpha, c, n, K, values, rows)
+    # Validated above, with fresh arrays: skip the constructor's checks and copies.
+    values.setflags(write=False)
+    residual.setflags(write=False)
+    family = object.__new__(RadialFamily)
+    family.__dict__.update(d=d, alpha=alpha, c=c, n=n, truncation=K, chi=values,
+                           block=_apply_sign_rule(vectors, k_max + 1), certificate=residual)
+    return family
 
 
 def _log_weight_integral(d: int, alpha: float) -> float:
@@ -265,8 +306,9 @@ def _twisted_ratios(chi: float, m: int, diag, off, ends):
 
 def lambda_eigenvalue(modes):
     """Eigenvalue lambda > 0 under the finite Fourier transform, of one
-    solved radial mode (a float) or of each mode in a sequence from one
-    solved family (an (M,) array), from the endpoint formula
+    solved radial mode (a float), or of each mode of a RadialFamily or of a
+    sequence of modes from one solved family (an (M,) array), from the
+    endpoint formula
 
         lambda = (-1)^k * pi^(d/2) c^n sqrt(Gamma(alpha+1))
                  / (2^(n-1/2) sqrt(Gamma(n+d/2) Gamma(alpha+n+d/2+1)))
@@ -277,7 +319,9 @@ def lambda_eigenvalue(modes):
     below the mode's largest coefficient m, Miller's backward ratios from K'
     down to m+1 (Gautschi, SIAM Rev. 9, 1967).  K' starts at K+1 and doubles
     until the last term of phi(-1) is at most eps of it.  The modes of a
-    sequence must share (d, alpha, c, n) and K.  Requires c > 0.
+    sequence must share (d, alpha, c, n) and K; a RadialFamily's chi, k and
+    twist indices come from its arrays, with one view, family[0], for its
+    parameters.  Requires c > 0.
 
     The first failing mode raises: NonPositiveLambda when lambda < 0 (chi is
     not the eigenvalue of mode k); DegenerateEndpoint when a pivot or
@@ -288,18 +332,23 @@ def lambda_eigenvalue(modes):
     8(K+1).
     """
     single = isinstance(modes, RadialPswf)
-    family = [modes] if single else list(modes)
+    family = [modes] if single else modes if isinstance(modes, RadialFamily) else list(modes)
     if not family:
         raise ValueError("lambda needs at least one mode")
     first = family[0]
     p = first.params
-    key = (p.d, p.alpha, p.c, p.n, first.truncation)
-    for f in family[1:]:
-        if (f.params.d, f.params.alpha, f.params.c, f.params.n, f.truncation) != key:
-            raise ValueError(
-                f"modes must come from one solved family: {f.params} with "
-                f"K={f.truncation} differs from {p} with K={first.truncation}"
-            )
+    if isinstance(family, RadialFamily):
+        ks, chis, block = range(len(family)), family.chi.tolist(), family.block
+    else:
+        key = (p.d, p.alpha, p.c, p.n, first.truncation)
+        for f in family[1:]:
+            if (f.params.d, f.params.alpha, f.params.c, f.params.n, f.truncation) != key:
+                raise ValueError(
+                    f"modes must come from one solved family: {f.params} with "
+                    f"K={f.truncation} differs from {p} with K={first.truncation}"
+                )
+        ks, chis = [f.params.k for f in family], [f.chi for f in family]
+        block = np.array([f.coeffs for f in family])
     if not p.c > 0.0:
         raise ValueError("lambda is computed for c > 0 only")
     log_pref = (
@@ -314,28 +363,29 @@ def lambda_eigenvalue(modes):
     if p.alpha >= 0.0 and 0.5 * p.d * math.log(2.0 * math.pi / p.c) < log_bound:
         log_bound, name = 0.5 * p.d * math.log(2.0 * math.pi / p.c), "Plancherel"
     bound, tables, lams = math.exp(log_bound), {}, []
-    for f in family:
-        m = int(np.abs(f.coeffs).argmax())
+    twists = np.abs(block).argmax(axis=1).tolist()
+    for i, (k, chi, m) in enumerate(zip(ks, chis, twists)):
         try:
-            for size in [(first.truncation + 1) << i for i in range(4)]:
+            for size in [(first.truncation + 1) << j for j in range(4)]:
                 if size not in tables:  # rows 0..K' = size, shared by the family
                     diag, off = _matrix_entries(p.d, p.alpha, p.c, p.n, size)
                     ends = jacobi_eval(p.basis, size, -1.0)
                     tables[size] = diag.tolist(), off.tolist(), ends.tolist()
-                q, e, tail = _twisted_ratios(f.chi, m, *tables[size])
+                q, e, tail = _twisted_ratios(chi, m, *tables[size])
                 if not tail > sys.float_info.epsilon:
                     break
             else:
-                raise TruncationNotConverged(f"phi(-1) of {f.params} moves at K'={size}")
+                raise TruncationNotConverged(f"phi(-1) of {family[i].params} moves at K'={size}")
         except ZeroDivisionError:
-            raise DegenerateEndpoint(f"zero pivot for {f.params} at chi = {f.chi!r}") from None
+            raise DegenerateEndpoint(f"zero pivot for {family[i].params} at chi = {chi!r}") from None
         # Clamped: a lambda past the float range fails the bound check.
-        lam = (-1) ** f.params.k * q * math.exp(min(log_pref + e * math.log(2.0), _LOG_MAX))
+        lam = (-1) ** k * q * math.exp(min(log_pref + e * math.log(2.0), _LOG_MAX))
         if not lam >= 0.0:
-            raise NonPositiveLambda(f"lambda = {lam:.6e} for params {f.params}; sign convention "
-                                    f"violated: chi = {f.chi!r} is not the eigenvalue of mode k")
+            raise NonPositiveLambda(f"lambda = {lam:.6e} for params {family[i].params}; sign "
+                                    f"convention violated: chi = {chi!r} is not the eigenvalue "
+                                    f"of mode k")
         if not sys.float_info.min <= lam <= bound * (1.0 + _BOUND_SLACK):
             why = "underflow" if lam < bound else f"exceeds the {name} bound {bound:.6e}"
-            raise DegenerateEndpoint(f"lambda = {lam:.6e} for params {f.params}: {why}")
+            raise DegenerateEndpoint(f"lambda = {lam:.6e} for params {family[i].params}: {why}")
         lams.append(lam)
     return lams[0] if single else np.array(lams)

@@ -105,17 +105,26 @@ def _cached_recurrence(basis: JacobiBasis, jmax: int, signs) -> tuple[np.ndarray
     return a, b
 
 
+def _eta_points(eta):
+    """eta as an array and, with one element, a float; ValueError unless finite."""
+    arr = np.asarray(eta, dtype=float)
+    x = arr.item() if arr.size == 1 else arr
+    if not (math.isfinite(x) if arr.size == 1 else np.isfinite(arr).all()):
+        raise ValueError("eta must be finite")
+    return arr, x
+
+
 def jacobi_eval(basis: JacobiBasis, jmax: int, eta) -> np.ndarray:
     """Values P~_0(eta) .. P~_jmax(eta) by forward recurrence.
 
     eta may be a scalar or an ndarray; the result has shape
-    (jmax+1,) + shape(eta).  Arguments outside [-1, 1] are allowed.  A
-    one-element eta runs on Python floats, bit for bit as the array loop.
+    (jmax+1,) + shape(eta).  Arguments outside [-1, 1] are allowed; NaN and
+    inf raise ValueError.  A one-element eta runs on Python floats, bit for
+    bit as the array loop.
     """
     if jmax < 0:
         raise ValueError(f"jmax must be non-negative, got {jmax}")
-    eta = np.asarray(eta, dtype=float)
-    x = eta.item() if eta.size == 1 else eta
+    eta, x = _eta_points(eta)
     a, b = (v.tolist() for v in _recurrence_arrays(basis, jmax))
     p0 = 1.0 / _norm_const(basis, 0)
     vals = [p0] if jmax == 0 else [p0, (x - b[0]) / a[0] * p0]
@@ -131,17 +140,17 @@ def clenshaw(basis: JacobiBasis, coeffs, eta):
     """Sum_j coeffs[j] * P~_j(eta) by backward (Clenshaw) recurrence.
 
     Shares the recurrence coefficients with jacobi_eval.  coeffs is a
-    non-empty 1-d sequence; eta may be a scalar or an ndarray.  A
-    one-element eta runs the recurrence on a Python float, which performs
-    the same IEEE operations in the same order as the array loop but without
-    NumPy's per-operation overhead.
+    non-empty 1-d sequence; eta may be a scalar or an ndarray, and NaN or
+    inf raise ValueError.  A one-element eta runs the recurrence on a Python
+    float, which performs the same IEEE operations in the same order as the
+    array loop but without NumPy's per-operation overhead.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coeffs must be finite")
-    eta_arr = np.asarray(eta, dtype=float)
+    eta_arr, x = _eta_points(eta)
     m = coeffs.size - 1
     h0 = _norm_const(basis, 0)
     if m == 0:
@@ -151,7 +160,6 @@ def clenshaw(basis: JacobiBasis, coeffs, eta):
     # multiplies ynext2 = 0 and subtracts an exact zero.
     a, b = (v.tolist() for v in _recurrence_arrays(basis, m + 1))
     c = coeffs.tolist()
-    x = eta_arr.item() if eta_arr.size == 1 else eta_arr
     ynext = ynext2 = 0.0
     for j in range(m, -1, -1):
         ynext, ynext2 = c[j] + (x - b[j]) / a[j] * ynext - a[j] / a[j + 1] * ynext2, ynext

@@ -34,7 +34,8 @@ import numpy as np
 from . import tables
 from .geometry import kernel_qc
 from .linalg import _validate_count, gauss_jacobi
-from .pswf import RadialPswf, _log_weight_integral, _matrix_entries, lambda_eigenvalue, solve_pswfs
+from .pswf import (RadialFamily, RadialPswf, _log_weight_integral, _matrix_entries,
+                   lambda_eigenvalue, solve_pswfs)
 from .specfn import (
     JacobiBasis,
     _bessel_j_family,
@@ -179,6 +180,8 @@ def hankel_residual(pswf: RadialPswf, lam: float, r_grid=DEFAULT_R_GRID) -> floa
     if not (math.isfinite(lam) and lam != 0.0):
         raise ValueError(f"lam must be finite and non-zero, got {lam}")
     r = np.asarray(r_grid, dtype=float)
+    if r.size == 0:
+        raise ValueError("r_grid must hold at least one radius")
     if not np.all((r >= 0.0) & np.isfinite(r)):
         raise ValueError(f"r_grid entries must be finite and non-negative, got {r_grid}")
     lhs, rhs_shape = _hankel_sides(pswf, r)
@@ -186,31 +189,34 @@ def hankel_residual(pswf: RadialPswf, lam: float, r_grid=DEFAULT_R_GRID) -> floa
     return float(np.max(np.abs(lhs - lam * rhs_shape)) / scale)
 
 
-def orthonormality_gram(pswfs: list[RadialPswf]) -> float:
-    """Max deviation from identity of the quadrature Gram matrix of a family.
+def orthonormality_gram(pswfs) -> float:
+    """Max deviation from identity of the quadrature Gram matrix of a family,
+    a RadialFamily or a sequence of modes that share (d, alpha, c, n).
 
-    All members must share (d, alpha, c, n).  Entries are
-    2^-(alpha+beta_n+2) int phi_a phi_b w_(alpha, beta_n) d(eta) on the
-    Gauss-Jacobi rule of K + 1 nodes, K the largest truncation.  Each phi is
-    a polynomial of degree at most K in eta, so phi_a phi_b has degree at
-    most 2K, and a rule of K + 1 nodes integrates every degree up to 2K + 1
-    exactly: the entries are the exact inner products up to rounding.  The
-    family is evaluated in one pass: its coefficient vectors, zero-padded to
-    length K+1, form one block, and the samples are that block times the
-    basis values P~_0..P~_K taken once on the rule's nodes.
+    Entries are 2^-(alpha+beta_n+2) int phi_a phi_b w_(alpha, beta_n) d(eta)
+    on the Gauss-Jacobi rule of K + 1 nodes, K the largest truncation.  Each
+    phi is a polynomial of degree at most K in eta, so phi_a phi_b has
+    degree at most 2K, and a rule of K + 1 nodes integrates every degree up
+    to 2K + 1 exactly: the entries are the exact inner products up to
+    rounding.  The family is evaluated in one pass: its coefficient block
+    (a RadialFamily's own; a sequence's vectors zero-padded to length K+1)
+    times the basis values P~_0..P~_K taken once on the rule's nodes.
     """
     if not pswfs:
         raise ValueError("need at least one solved eigenfunction")
-    heads = {(f.params.d, f.params.alpha, f.params.c, f.params.n) for f in pswfs}
-    if len(heads) != 1:
-        raise ValueError(f"family members must share (d, alpha, c, n), got {heads}")
     p = pswfs[0].params
-    K = max(f.truncation for f in pswfs)
+    if isinstance(pswfs, RadialFamily):
+        K, block = pswfs.truncation, pswfs.block
+    else:
+        heads = {(f.params.d, f.params.alpha, f.params.c, f.params.n) for f in pswfs}
+        if len(heads) != 1:
+            raise ValueError(f"family members must share (d, alpha, c, n), got {heads}")
+        K = max(f.truncation for f in pswfs)
+        block = np.zeros((len(pswfs), K + 1))
+        for row, f in zip(block, pswfs):
+            row[:f.truncation + 1] = f.coeffs
     rule = gauss_jacobi(p.alpha, p.beta_n, K + 1)
-    block = np.zeros((len(pswfs), K + 1))
-    for row, f in zip(block, pswfs):
-        row[:f.truncation + 1] = f.coeffs
-    samples = block @ jacobi_eval(pswfs[0].basis, K, rule.nodes)
+    samples = block @ jacobi_eval(p.basis, K, rule.nodes)
     gram = 2.0 ** (-(p.alpha + p.beta_n + 2.0)) * (samples * rule.weights) @ samples.T
     return float(np.max(np.abs(gram - np.eye(len(pswfs)))))
 
@@ -421,16 +427,12 @@ def suite_bounds() -> VerificationReport:
 
 
 def _bounds_cases(family):
-    p = family[0].params
-    margin = -math.inf
-    for f in family:
-        # Strict enclosure gamma(n+2k) < chi < gamma(n+2k) + c^2.
-        m = p.n + 2 * f.params.k
-        lower = m * (m + 2.0 * p.alpha + p.d)
-        upper = lower + p.c ** 2
-        margin = max(margin, (lower - f.chi) / p.c ** 2, (f.chi - upper) / p.c ** 2)
-    yield {"check": "enclosure"}, margin, BOUNDS_TOL
-    chis = np.array([f.chi for f in family])
+    p, chis = family[0].params, family.chi
+    # Strict enclosure gamma(n+2k) < chi < gamma(n+2k) + c^2.
+    m = p.n + 2 * np.arange(len(chis))
+    lower = m * (m + 2.0 * p.alpha + p.d)
+    margin = np.maximum(lower - chis, chis - (lower + p.c ** 2)).max() / p.c ** 2
+    yield {"check": "enclosure"}, float(margin), BOUNDS_TOL
     lams = lambda_eigenvalue(family)
     yield ({"check": "chi_increasing"},
            float(np.max(chis[:-1] - chis[1:]) / np.max(np.abs(chis))), BOUNDS_TOL)

@@ -247,7 +247,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("d, alpha, c, n, k_max", [(2, 0.0, 1.0, 0, 12),
                                                      (3, 1.0, 20.0, 2, 12),
-                                                     (2, 0.0, 0.0, 1, 2)])
+                                                     (2, 0.0, 0.0, 1, 2),
+                                                     (5, -0.5, 1.0, 0, 40),
+                                                     (1, 0.0, 0.0, 1, 27)])
     def test_csv_matches_per_value_format(self, capsys, d, alpha, c, n, k_max):
         code, out, _ = run(capsys, "solve", "--dim", str(d), "--alpha", str(alpha),
                            "--c", str(c), "--n", str(n), "--k-max", str(k_max))

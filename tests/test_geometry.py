@@ -143,6 +143,11 @@ class TestSphHarmEval:
             pytest.approx(1.0 / math.sqrt(2.0 * math.pi ** 2), rel=1e-15)
         with pytest.raises(ValueError, match="unit vector"):
             sph_harm_eval(2, 1, 1, (0.5, 0.5))
+        # The norm is printed as a plain float, not as a NumPy scalar's repr.
+        with pytest.raises(ValueError, match=r"^\|x\| = nan is not a unit vector$"):
+            sph_harm_eval(2, 1, 1, (math.nan, 0.0))
+        with pytest.raises(ValueError, match=r"^\|x\| = 2\.0 is not a unit vector$"):
+            sph_harm_eval(3, 1, 1, np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
 
 
 class TestFunkHecke:

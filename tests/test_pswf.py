@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
@@ -19,6 +20,7 @@ from ballprolate.pswf import (
     _apply_sign_rule,
     _truncation_size,
     PswfParams,
+    RadialFamily,
     RadialPswf,
     build_matrix,
     lambda_eigenvalue,
@@ -377,6 +379,99 @@ class TestSolvedRecords:
         assert g.coeffs.tobytes() == row.tobytes()
 
 
+    def test_family_is_a_sequence_of_views(self):
+        family = solve_pswfs(*self.FAMILY)
+        assert type(family) is RadialFamily and len(family) == 31
+        assert [f.params.k for f in family] == list(range(31))
+        assert [f.chi for f in family] == family.chi.tolist()
+        assert family[-1].params.k == 30 and family[-31].params.k == 0
+        assert type(family[np.int64(4)].params.k) is int
+        for index in (31, -32):
+            with pytest.raises(IndexError):
+                family[index]
+        picked = family[2:9:3]
+        assert type(picked) is list and [f.params.k for f in picked] == [2, 5, 8]
+        assert family[:0] == [] and _family_bytes(family[::-1]) == _family_bytes(family)[::-1]
+        assert _family_bytes(family[-3:]) == _family_bytes(family)[28:]
+        # Iteration and indexing build the same views, each afresh.
+        assert _family_bytes(family) == _family_bytes([family[k] for k in range(31)])
+        assert all(type(f.chi) is float for f in [*family, family[7]])
+        assert [f.params.k for f in reversed(family)] == list(range(30, -1, -1))
+        assert family[3] is not family[3]
+        with pytest.raises(TypeError):
+            family[3] in family
+
+    def test_family_arrays_are_read_only(self):
+        family = solve_pswfs(*self.FAMILY)
+        K = family.truncation
+        assert family.block.shape == (31, K + 1) and family.block.flags.c_contiguous
+        assert family.chi.shape == family.certificate.shape == (31,)
+        for array in (family.chi, family.block, family.certificate):
+            assert not array.flags.writeable
+        assert family[0].coeffs.base is family.block and family[0].truncation == K
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.chi = np.zeros(31)
+        # The certificate is the solve's own r_k = |A[K, K+1]| |v_k[K]|.
+        coupling = abs(build_matrix(3, 1.0, 20.0, 2, K + 1).offdiag[K])
+        assert family.certificate.tolist() == (coupling * np.abs(family.block[:, K])).tolist()
+        assert family.certificate.max() <= 1e-15 * np.abs(family.chi).max()
+
+    @pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_family_round_trip(self, roundtrip):
+        family = solve_pswfs(*self.FAMILY)
+        g = roundtrip(family)
+        assert type(g) is RadialFamily and g is not family
+        assert (g.d, g.alpha, g.c, g.n, g.truncation) == (3, 1.0, 20.0, 2, family.truncation)
+        for name in ("chi", "block", "certificate"):
+            ours, theirs = getattr(family, name), getattr(g, name)
+            assert theirs is not ours and theirs.tobytes() == ours.tobytes()
+            assert theirs.shape == ours.shape and theirs.flags.c_contiguous
+            assert not theirs.flags.writeable
+        assert g[5].coeffs.base is g.block
+        assert lambda_eigenvalue(g).tobytes() == lambda_eigenvalue(family).tobytes()
+
+    def test_family_constructor_checks(self):
+        family = solve_pswfs(*self.FAMILY)
+        head = (family.d, family.alpha, family.c, family.n, family.truncation)
+        arrays = (family.chi, family.block, family.certificate)
+        for bad in ((family.chi[:-1], family.block, family.certificate),
+                    (family.chi, family.block[:, :-1], family.certificate),
+                    (family.chi, family.block, family.certificate[1:]),
+                    (family.chi[:0], family.block[:0], family.certificate[:0])):
+            with pytest.raises(ValueError, match="block"):
+                RadialFamily(*head, *bad)
+        with pytest.raises(ValueError, match="alpha"):
+            RadialFamily(3, -1.0, *head[2:], *arrays)
+        with pytest.raises(ValueError, match="truncation K"):
+            RadialFamily(*head[:4], -1, *arrays)
+        source = np.asfortranarray(family.block)
+        g = RadialFamily(*head, family.chi, source, family.certificate)
+        assert g.block.flags.c_contiguous and g.block.tobytes() == family.block.tobytes()
+        assert not np.shares_memory(g.block, source)
+
+    def test_solve_builds_no_modes(self, monkeypatch):
+        # Counted stands in for RadialPswf inside pswf, so every mode the
+        # solve makes, by either constructor, is counted when it is freed or
+        # found alive afterwards.
+        freed = []
+
+        class Counted(RadialPswf):
+            def __del__(self):
+                freed.append(self.params.k)
+
+        def alive():
+            gc.collect()
+            return sum(type(o) is Counted for o in gc.get_objects())
+
+        monkeypatch.setattr(pswf_module, "RadialPswf", Counted)
+        family = solve_pswfs(*self.FAMILY)
+        assert freed == [] and alive() == 0
+        view = family[-1]
+        assert type(view) is Counted and alive() == 1
+        del view
+        assert freed == [30]
+
+
 class TestLambda:
     def test_ball_golden_value(self):
         f = solve_pswfs(3, 1.0, 0.1, 0, 0)[0]
@@ -575,7 +670,7 @@ class TestBlockLambdas:
         # copies own their coefficients.  Both give the same bytes for any
         # choice and order of modes.
         family = solve_pswfs(3, 1.0, 20.0, 2, 12)
-        copies = copy.deepcopy(family)
+        copies = copy.deepcopy(list(family))
         assert all(f.coeffs.base is family[0].coeffs.base for f in family)
         assert all(g.coeffs.base is None for g in copies)
         for pick in (range(13), range(2, 5), [7, 0, 12, 3], [4]):
@@ -584,6 +679,30 @@ class TestBlockLambdas:
             assert block.tobytes() == stacked.tobytes()
         assert lambda_eigenvalue(family[2:5]).tobytes() == lambda_eigenvalue(copies[2:5]).tobytes()
         assert lambda_eigenvalue(family[4]) == lambda_eigenvalue(copies[4])
+
+
+# Families of the k_max 13-40 tail; the c = 1e-3 ones fail with an
+# underflowing lambda at k = 31 and k = 28.
+TAIL_FAMILIES = [(2, 0.0, 5.0, 0, 13), (3, 1.0, 20.0, 3, 27), (5, -0.5, 1.0, 0, 40),
+                 (1, -0.5, 20.0, 1, 40), (2, -0.9, 1e-3, 0, 40), (5, 2.5, 1e-3, 7, 40)]
+
+
+def _lambda_outcome(call):
+    """Bytes of the lambdas, or the type and message of the error raised."""
+    try:
+        return np.asarray(call()).tobytes()
+    except (DegenerateEndpoint, NonPositiveLambda) as exc:
+        return type(exc), str(exc)
+
+
+class TestFamilyLambdas:
+    @pytest.mark.parametrize("d,alpha,c,n,k_max", TAIL_FAMILIES)
+    def test_family_matches_list_and_per_mode_calls(self, d, alpha, c, n, k_max):
+        family = solve_pswfs(d, alpha, c, n, k_max)
+        whole = _lambda_outcome(lambda: lambda_eigenvalue(family))
+        assert whole == _lambda_outcome(lambda: lambda_eigenvalue(list(family)))
+        assert whole == _lambda_outcome(lambda: [lambda_eigenvalue(f) for f in family])
+        assert (type(whole) is bytes) == (c > 1e-3)
 
 
 # (d, alpha, c, n, k): the large-bandwidth k = 0 modes where reading beta_0

@@ -216,6 +216,20 @@ class TestJacobiEval:
             lead /= a_n
 
 
+class TestNonFiniteEta:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["scalar", "one", "many"])
+    def test_clenshaw_and_jacobi_eval_name_eta(self, bad, shape):
+        eta = {"scalar": bad, "one": np.array([bad]), "many": np.array([0.5, bad, -0.2])}[shape]
+        basis = JacobiBasis(0.0, 0.5)
+        for coeffs in ([0.5], [0.5, -0.25, 1.5]):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                clenshaw(basis, coeffs, eta)
+        for jmax in (0, 2):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                jacobi_eval(basis, jmax, eta)
+
+
 class TestClenshaw:
     def test_single_constant_term(self):
         value = clenshaw(JacobiBasis(0.0, 0.0), [1.0], 0.9)
@@ -329,6 +343,11 @@ class TestClenshawBitIdentity:
         basis = JacobiBasis(0.0, 0.5)
         for x in (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e200, 5e-324):
             for eta in (x, np.array(x), np.array([x]), np.array([x, 0.5])):
+                if not math.isfinite(x):
+                    # Non-finite eta is rejected before any recurrence runs.
+                    with pytest.raises(ValueError, match="eta must be finite"):
+                        clenshaw(basis, coeffs, eta)
+                    continue
                 with np.errstate(over="ignore", invalid="ignore"):
                     got = clenshaw(basis, coeffs, eta)
                     want = clenshaw_reference(basis, coeffs, eta)

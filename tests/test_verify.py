@@ -102,6 +102,12 @@ class TestHankelResidual:
         # The grid may start at 0.
         assert hankel_residual(f, lam, [0.0, 0.5]) < 1e-10
 
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0)])
+    def test_rejects_empty_radius_grid(self, empty):
+        f = solve_pswfs(2, 0.0, 1.0, 0, 0)[0]
+        with pytest.raises(ValueError, match="r_grid must hold at least one radius"):
+            hankel_residual(f, lambda_eigenvalue(f), empty)
+
     @pytest.mark.parametrize("d,alpha", [(2, 0.0), (3, 1.0), (2, -0.5)])
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_route_agreement(self, d, alpha, c):
@@ -167,11 +173,18 @@ class TestOrthonormality:
         )
         assert orthonormality_gram([family[0], bad, family[2]]) > 1e-11
 
+    def test_family_block_matches_mode_list(self):
+        # A RadialFamily is evaluated from its own block, a list of its
+        # modes from a zero-padded copy; the entries are the same.
+        for args in ((3, 1.0, 5.0, 1, 10), (2, -0.5, 20.0, 0, 30)):
+            family = solve_pswfs(*args)
+            assert orthonormality_gram(family) == orthonormality_gram(list(family))
+
     def test_mixed_family_rejected(self):
         a = solve_pswfs(2, 0.0, 1.0, 0, 0)
         b = solve_pswfs(2, 0.0, 2.0, 0, 0)
         with pytest.raises(ValueError):
-            orthonormality_gram(a + b)
+            orthonormality_gram([*a, *b])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
